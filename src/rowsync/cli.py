@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 from multiprocessing import Pool
@@ -120,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", choices=("sync",), default=None,
                    help="aggregate synchronizing automata only")
     p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most the CPU count and the table count")
     add_common(p, with_limit=True)
     return parser
 
@@ -226,7 +228,8 @@ def _run_trace(config: RunConfig) -> RunResult:
 def _run_probe(config: RunConfig) -> RunResult:
     dfa = _load(config)
     word = _word_or_shortest(config, dfa)
-    rep = allocation_probe(dfa, word, config.q)
+    shortest = len(word) if config.word is None else None
+    rep = allocation_probe(dfa, word, config.q, config.limit, shortest)
     report = rep.to_json_dict()
     m = rep.matching
     lines = [
@@ -305,14 +308,13 @@ def _run_enum(config: RunConfig) -> RunResult:
     if total > config.budget:
         raise CapacityError(f"enumerating {total} tables exceeds the budget of {config.budget}; "
                             "raise --budget to proceed")
-    jobs = max(1, config.jobs)
-    if jobs == 1:
-        parts = [_enum_shard_stats((n, k, 0, total, config.limit))]
+    workers = min(max(1, config.jobs), os.cpu_count() or 1, total)
+    chunk = -(-total // workers)
+    ranges = [(n, k, lo, min(lo + chunk, total), config.limit) for lo in range(0, total, chunk)]
+    if len(ranges) == 1:
+        parts = [_enum_shard_stats(ranges[0])]
     else:
-        chunk = (total + jobs - 1) // jobs
-        ranges = [(n, k, lo, min(lo + chunk, total), config.limit)
-                  for lo in range(0, total, chunk)]
-        with Pool(processes=jobs) as pool:
+        with Pool(processes=len(ranges)) as pool:
             parts = pool.map(_enum_shard_stats, ranges)
     sync = sum(p["sync"] for p in parts)
     hist: dict[int, int] = {}

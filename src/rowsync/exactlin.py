@@ -1,10 +1,10 @@
 """Exact rational linear algebra over flattened matrices.
 
-Matrices enter as row-major 0/1 vectors of length n*n.  All elimination is
-fraction-free: rows stay integer through cross-multiplication and gcd
-normalization, and rationals only appear in solution coefficients.  No
-floating point anywhere, so ranks, span membership and expressed
-coefficients are exact at every size.
+Matrices enter as row-major 0/1 vectors of length n*n.  Every rank,
+membership and coefficient answer comes from one integer elimination step:
+cross-multiply to clear a pivot entry, then divide out the gcd.  Rationals
+appear only when express_vectors reads off its coefficients.  No floating
+point anywhere, so ranks, span membership and coefficients are exact.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainError
@@ -32,20 +32,23 @@ def flatten(m: RowMonomialMatrix) -> Vector:
     return tuple(vec)
 
 
-def _normalize(row: list[int]) -> list[int]:
-    g = 0
-    for v in row:
-        g = gcd(g, v)
-        if g == 1:
-            break
+def _eliminate(v: list[int], row: list[int], pivot: int) -> list[int]:
+    """Clear v[pivot] against row (nonzero there) by cross-multiplying.
+
+    The result is divided by its gcd, with its leading entry made positive.
+    """
+    c = v[pivot]
+    lead = row[pivot]
+    v = [a * lead - b * c for a, b in zip(v, row)]
+    g = gcd(*v)
     if g > 1:
-        row = [v // g for v in row]
-    for v in row:
-        if v:
-            if v < 0:
-                row = [-x for x in row]
+        v = [x // g for x in v]
+    for x in v:
+        if x:
+            if x < 0:
+                v = [-y for y in v]
             break
-    return row
+    return v
 
 
 class RationalBasis:
@@ -76,11 +79,8 @@ class RationalBasis:
     def _residue(self, vec: Sequence[int]) -> list[int]:
         v = list(vec)
         for pivot, row in self._rows:
-            c = v[pivot]
-            if c:
-                lead = row[pivot]
-                v = [a * lead - b * c for a, b in zip(v, row)]
-                v = _normalize(v)
+            if v[pivot]:
+                v = _eliminate(v, row, pivot)
         return v
 
     def insert(self, vec: Sequence[int]) -> bool:
@@ -137,50 +137,35 @@ def span_dimension(matrices: Iterable[RowMonomialMatrix]) -> int:
 def express_vectors(target: Sequence[int], columns: Sequence[Sequence[int]]) -> RationalCoefficients | None:
     """Solve sum_i x_i * columns[i] = target exactly over the rationals.
 
-    Plain Gaussian elimination on the augmented system with deterministic
-    pivoting (first usable row per column).  On underdetermined systems the
-    free variables are fixed to zero, so equal inputs give equal outputs.
-    Returns None when the target is outside the span.
+    Integer Gauss-Jordan on the rows of [columns | target] with the step
+    RationalBasis uses.  Each column in order pivots on the first usable row
+    and is cleared from all others, so pivot rows read lead * x = rhs and
+    x = Fraction(rhs, lead).  Free variables are zero, so equal inputs give
+    equal outputs.  Returns None when the target is outside the span.
     """
     m = len(columns)
     height = len(target)
     for col in columns:
         if len(col) != height:
             raise DomainError(f"column length {len(col)} does not match target length {height}")
-    if m == 0:
-        return () if not any(target) else None
-    rows = [[Fraction(columns[j][r]) for j in range(m)] + [Fraction(target[r])]
-            for r in range(height)]
-    pivots: list[tuple[int, int]] = []
-    rank_so_far = 0
+    rows = [row for row in ([c[r] for c in columns] + [target[r]] for r in range(height)) if any(row)]
+    pivots: list[int] = []
     for col in range(m):
-        pivot_row = None
-        for r in range(rank_so_far, height):
-            if rows[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
+        rank = len(pivots)
+        found = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if found is None:
             continue
-        rows[rank_so_far], rows[pivot_row] = rows[pivot_row], rows[rank_so_far]
-        pivot = rows[rank_so_far]
-        for r in range(rank_so_far + 1, height):
-            factor = rows[r][col]
-            if factor:
-                ratio = factor / pivot[col]
-                rows[r] = [a - ratio * b for a, b in zip(rows[r], pivot)]
-        pivots.append((rank_so_far, col))
-        rank_so_far += 1
-    for r in range(rank_so_far, height):
-        if rows[r][m]:
-            return None
+        rows[rank], rows[found] = rows[found], rows[rank]
+        pivot = rows[rank]
+        for r, row in enumerate(rows):
+            if r != rank and row[col]:
+                rows[r] = _eliminate(row, pivot, col)
+        pivots.append(col)
+    if any(row[m] for row in rows[len(pivots):]):
+        return None
     coeffs = [Fraction(0)] * m
-    for row_idx, col in reversed(pivots):
-        row = rows[row_idx]
-        acc = row[m]
-        for c in range(col + 1, m):
-            if row[c]:
-                acc -= row[c] * coeffs[c]
-        coeffs[col] = acc / row[col]
+    for row, col in zip(rows, pivots):
+        coeffs[col] = Fraction(row[m], row[col])
     return tuple(coeffs)
 
 
@@ -194,6 +179,12 @@ def express(target: RowMonomialMatrix, matrices: Sequence[RowMonomialMatrix]) ->
         if m.n != target.n:
             raise DomainError(f"size mismatch: {m.n} vs {target.n}")
     return express_vectors(flatten(target), [flatten(m) for m in matrices])
+
+
+def common_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of coeffs over their least common denominator, and it."""
+    denominator = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (denominator // c.denominator) for c in coeffs], denominator
 
 
 @dataclass(frozen=True)
@@ -218,7 +209,8 @@ def check_sum_conditions(coeffs: Sequence[Fraction],
 
     The caller asserts that coeffs expresses target over matrices; this only
     audits the sums.  Row sums are accumulated cell by cell rather than
-    assumed, so a violation would actually surface.
+    assumed, so a violation would actually surface; the cells hold integer
+    numerators over the coefficients' common denominator.
     """
     if len(coeffs) != len(matrices):
         raise DomainError(f"{len(coeffs)} coefficients for {len(matrices)} matrices")
@@ -232,13 +224,13 @@ def check_sum_conditions(coeffs: Sequence[Fraction],
         if target is not None and target.n != n:
             raise DomainError(f"target size {target.n} does not match {n}")
     expected = 0 if target is None else 1
-    coefficient_sum = sum((Fraction(c) for c in coeffs), Fraction(0))
-    cells = [[Fraction(0)] * n for _ in range(n)]
-    for c, m in zip(coeffs, matrices):
-        fc = Fraction(c)
+    numerators, denominator = common_denominator(coeffs)
+    cells = [[0] * n for _ in range(n)]
+    for c, m in zip(numerators, matrices):
         for i, t in enumerate(m.targets):
-            cells[i][t] += fc
-    row_sums = tuple(sum(row, Fraction(0)) for row in cells)
+            cells[i][t] += c
+    coefficient_sum = Fraction(sum(numerators), denominator)
+    row_sums = tuple(Fraction(sum(row), denominator) for row in cells)
     violations = []
     if coefficient_sum != expected:
         violations.append(f"coefficient sum {coefficient_sum} != {expected}")
@@ -283,22 +275,22 @@ def decompose_vij(t: RowMonomialMatrix, k: int) -> RationalCoefficients:
     for i, tgt in enumerate(t.targets):
         if tgt >= k:
             raise DomainError(f"row {i} has its unit in column {tgt}, outside the first {k} columns")
-    coeffs = [Fraction(0)] * (n * (k - 1) + 1)
+    coeffs = [0] * (n * (k - 1) + 1)
     m_count = 0
     for i, tgt in enumerate(t.targets):
         if tgt < k - 1:
-            coeffs[i * (k - 1) + tgt] = Fraction(1)
+            coeffs[i * (k - 1) + tgt] = 1
             m_count += 1
-    coeffs[-1] = Fraction(-(m_count - 1))
-    combo = [Fraction(0)] * (n * n)
+    coeffs[-1] = -(m_count - 1)
+    combo = [0] * (n * n)
     for c, b in zip(coeffs, vij_basis(n, k)):
         if c:
             for pos, v in enumerate(flatten(b)):
                 if v:
                     combo[pos] += c
-    if tuple(combo) != tuple(Fraction(v) for v in flatten(t)):
+    if tuple(combo) != flatten(t):
         raise DomainError("decomposition failed re-evaluation; input was not row monomial within k columns")
-    return tuple(coeffs)
+    return tuple(Fraction(c) for c in coeffs)
 
 
 def all_row_monomial(n: int, columns: Sequence[int] | None = None) -> Iterable[RowMonomialMatrix]:

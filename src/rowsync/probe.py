@@ -262,13 +262,15 @@ def check_prefix_column(dfa: Dfa, word: Sequence[int], q: int | None = None) -> 
     return tuple(out)
 
 
-def bound_check(dfa: Dfa, limit: int = EXACT_SEARCH_LIMIT) -> BoundVerdict:
+def bound_check(dfa: Dfa, limit: int = EXACT_SEARCH_LIMIT, shortest: int | None = None) -> BoundVerdict:
     """Compare the exact shortest reset length against (n-1)^2.
 
-    exceeds-bound would contradict the conjectured bound and is the one
-    finding callers must never swallow.
+    shortest is the length of a known shortest reset word, found under the
+    same limit; when given, no second subset search runs.  exceeds-bound
+    would contradict the conjectured bound and is the one finding callers
+    must never swallow.
     """
-    length = shortest_reset_length(dfa, limit)
+    length = shortest_reset_length(dfa, limit) if shortest is None else shortest
     bound = cerny_bound(dfa.n)
     if length is None:
         status = "not-synchronizing"
@@ -279,7 +281,8 @@ def bound_check(dfa: Dfa, limit: int = EXACT_SEARCH_LIMIT) -> BoundVerdict:
     return BoundVerdict(n=dfa.n, bound=bound, length=length, status=status)
 
 
-def allocation_probe(dfa: Dfa, word: Sequence[int], q: int | None = None) -> ProbeReport:
+def allocation_probe(dfa: Dfa, word: Sequence[int], q: int | None = None,
+                     limit: int = EXACT_SEARCH_LIMIT, shortest: int | None = None) -> ProbeReport:
     """Run the full allocation procedure for one synchronizing word.
 
     Steps: collect the prefixes whose matrix rank exceeds one (at most
@@ -294,6 +297,7 @@ def allocation_probe(dfa: Dfa, word: Sequence[int], q: int | None = None) -> Pro
     ordering is a tie-break between maximum matchings, not a correctness
     requirement.  A matching shortfall is recorded as a finding, never an
     error.  q defaults to the state the word actually synchronizes to.
+    limit and shortest are passed to bound_check.
     """
     w = check_word(dfa, word)
     sink = _resolve_sink(dfa, w, q)
@@ -380,7 +384,7 @@ def allocation_probe(dfa: Dfa, word: Sequence[int], q: int | None = None) -> Pro
 
     verdicts = check_prefix_column(dfa, w, sink)
     try:
-        bound = bound_check(dfa)
+        bound = bound_check(dfa, limit, shortest)
     except CapacityError:
         bound = BoundVerdict(n=n, bound=cerny_bound(n), length=None, status="skipped-capacity")
         notes.append("exact bound check skipped: state count above the exact-search limit")

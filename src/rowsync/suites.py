@@ -16,8 +16,9 @@ from fractions import Fraction
 from .automaton import Dfa
 from .equation import enumerate_solutions, is_solution, leq_q, minimal_solution, solution_spec
 from .exactlin import (all_row_monomial, check_sum_conditions, common_column_span_dimension,
-                       decompose_vij, express, flatten, matrix_rank, sink_family_dimension,
-                       span_dimension, two_column_span_dimension, vij_basis, RationalBasis)
+                       common_denominator, decompose_vij, express, flatten, matrix_rank,
+                       sink_family_dimension, span_dimension, two_column_span_dimension, vij_basis,
+                       RationalBasis)
 from .rowmon import (RowMonomialMatrix, column_rows, column_unit_counts, is_permutation,
                      matrix_of_word, multiply, nonzero_columns, rank)
 
@@ -124,13 +125,14 @@ def sum_conditions_suite(samples: int = DEFAULT_SAMPLES, seed: int = 1) -> Suite
             result.violations.append(f"{tag}: spanning family failed to express target")
             result.checks += 1
             continue
-        combo = [Fraction(0)] * (n * n)
-        for c, m in zip(coeffs, family):
+        numerators, denominator = common_denominator(coeffs)
+        combo = [0] * (n * n)
+        for c, m in zip(numerators, family):
             if c:
                 for pos, v in enumerate(flatten(m)):
                     if v:
                         combo[pos] += c
-        if combo != [Fraction(v) for v in flatten(target)]:
+        if combo != [denominator * v for v in flatten(target)]:
             result.violations.append(f"{tag}: expressed combination does not reproduce target")
         if idx % 2 == 0:
             verdict = check_sum_conditions(coeffs, family, target)

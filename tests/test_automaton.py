@@ -225,6 +225,43 @@ def test_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+_DFA_NOISE = ["01", "1_0", "\u0663", "-1", "x", "#", "9" * 30]
+
+
+@st.composite
+def dfa_like_texts(draw):
+    """Header 'n k' and k rows of n mostly valid targets, with comments and blank lines."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    token = st.sampled_from([str(t) for t in range(n)] * 8 + _DFA_NOISE)
+    rows = [" ".join(draw(st.lists(token, min_size=n, max_size=n))) for _ in range(k)]
+    lines = [f"{n} {k}"] + rows
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# note", "  "])))
+    return "\n".join(lines)
+
+
+@given(st.one_of(st.text(max_size=40), dfa_like_texts()))
+@settings(max_examples=150, deadline=None)
+def test_read_dfa_text_round_trips_or_raises_parse_error(text):
+    try:
+        dfa = read_dfa_text(text)
+    except ParseError:
+        return
+    assert read_dfa_text(write_dfa_text(dfa)) == dfa
+
+
+@given(st.one_of(st.text(max_size=20), st.text(alphabet="abcz AZ,0123-9\u00b2\u0130", max_size=20)),
+       st.integers(1, 40))
+@settings(max_examples=150, deadline=None)
+def test_parse_word_round_trips_or_raises_invalid_word(text, k):
+    try:
+        word = parse_word(text, k)
+    except InvalidWordError:
+        return
+    assert all(0 <= a < k for a in word)
+    assert parse_word(format_word(word, k), k) == word
+
+
 def test_parse_error_names_line_and_column():
     with pytest.raises(ParseError) as err:
         read_dfa_text("2 1\n0 7\n")

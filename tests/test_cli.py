@@ -254,3 +254,77 @@ def test_lemmas_clean_run(capsys):
     assert all(s["violations"] == [] for s in suites)
     assert {s["name"] for s in suites} == {
         "rank-monotonicity", "sum-conditions", "basis-dimension", "sink-equation"}
+
+
+def test_probe_honours_limit_with_given_word(tmp_path, capsys):
+    path = str(tmp_path / "c14.txt")
+    assert main(["gen", "cerny", "--n", "14", "-o", path]) == 0
+    word = "b" + ("a" * 13 + "b") * 12
+    code, out = run_main(["probe", path, "--word", word, "--limit", "5", "--json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["limit"] == 5
+    report = doc["report"]
+    assert report["bound_verdict"] == {"n": 14, "bound": 169, "length": None,
+                                       "status": "skipped-capacity"}
+    assert "exact bound check skipped: state count above the exact-search limit" in report["notes"]
+
+
+def test_probe_without_word_searches_once(cerny3_path, capsys, monkeypatch):
+    import rowsync.cli
+    import rowsync.probe
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((rowsync.cli, "shortest_reset_word"), (rowsync.cli, "shortest_reset_length"),
+                         (rowsync.probe, "shortest_reset_length")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    code, out = run_main(["probe", cerny3_path, "--json"], capsys)
+    assert code == 0
+    assert calls == ["shortest_reset_word"]
+    assert json.loads(out)["report"]["bound_verdict"] == {
+        "n": 3, "bound": 4, "length": 4, "status": "within-bound"}
+
+
+class PoolRecorder:
+    """Stands in for multiprocessing.Pool: records its size, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+def test_enum_jobs_clamped_to_shards_and_cpus(capsys, monkeypatch):
+    import rowsync.cli
+
+    monkeypatch.setattr(rowsync.cli, "Pool", PoolRecorder)
+    monkeypatch.setattr(PoolRecorder, "sizes", [])
+    code, out = run_main(["enum", "--n", "1", "--k", "1", "--jobs", "2", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["report"]["total_tables"] == 1
+    assert PoolRecorder.sizes == []
+
+    monkeypatch.setattr(rowsync.cli.os, "cpu_count", lambda: 1)
+    code, serial = run_main(["enum", "--n", "2", "--k", "2", "--jobs", "8", "--json"], capsys)
+    assert PoolRecorder.sizes == []
+
+    monkeypatch.setattr(rowsync.cli.os, "cpu_count", lambda: 2)
+    code, parallel = run_main(["enum", "--n", "2", "--k", "2", "--jobs", "8", "--json"], capsys)
+    assert PoolRecorder.sizes == [2]
+    assert json.loads(parallel)["report"] == json.loads(serial)["report"]

@@ -1,7 +1,7 @@
 """Exact linear algebra over flattened matrices.
 
-The package's fraction-free elimination is cross-checked against a plain
-Fraction-based Gaussian elimination written here, so the two routes share
+The package's fraction-free elimination is cross-checked against plain
+Fraction-based Gaussian eliminations written here, so the two routes share
 no code.
 """
 
@@ -41,6 +41,75 @@ def oracle_rank(rows):
         if r == len(mat):
             break
     return r
+
+
+def oracle_solve(target, columns):
+    """Textbook Fraction Gaussian elimination with back-substitution.
+
+    Pivots on the first nonzero row per column, in column order, and fixes
+    the free variables to zero; None when the system is inconsistent.
+    """
+    m = len(columns)
+    rows = [[Fraction(col[r]) for col in columns] + [Fraction(t)] for r, t in enumerate(target)]
+    pivots = []
+    for c in range(m):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(r + 1, len(rows)):
+            if rows[i][c]:
+                f = rows[i][c] / rows[r][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    if any(row[m] for row in rows[len(pivots):]):
+        return None
+    x = [Fraction(0)] * m
+    for r in reversed(range(len(pivots))):
+        c = pivots[r]
+        acc = rows[r][m] - sum(rows[r][j] * x[j] for j in range(c + 1, m))
+        x[c] = acc / rows[r][c]
+    return tuple(x)
+
+
+def random_system(rng, kind):
+    """A seeded integer system (target, columns) of the given kind."""
+    height = rng.randint(1, 7)
+    width = 0 if kind == "empty" else rng.randint(1, 7)
+    columns = [[rng.randint(-3, 3) for _ in range(height)] for _ in range(width)]
+    if kind == "rank-deficient":
+        b, c = rng.randrange(width), rng.randrange(width)
+        f, g = rng.randint(-2, 2), rng.randint(-2, 2)
+        columns.insert(rng.randrange(width + 1), [f * u + g * v for u, v in zip(columns[b], columns[c])])
+        columns.insert(rng.randrange(width + 2), [0] * height)
+    if kind == "inconsistent":
+        target = [rng.randint(-4, 4) for _ in range(height)]
+    else:
+        weights = [rng.randint(-3, 3) for _ in columns]
+        target = [sum(w * col[r] for w, col in zip(weights, columns)) for r in range(height)]
+        if kind == "empty" and rng.random() < 0.5:
+            target[rng.randrange(height)] = rng.randint(1, 3)
+    return target, columns
+
+
+@pytest.mark.parametrize("kind", ["consistent", "inconsistent", "rank-deficient", "empty"])
+def test_express_vectors_matches_textbook_solver(kind):
+    rng = random.Random(f"express-{kind}")
+    outcomes = set()
+    for _ in range(400):
+        target, columns = random_system(rng, kind)
+        coeffs = express_vectors(target, columns)
+        assert coeffs == oracle_solve(target, columns)
+        outcomes.add(coeffs is None)
+        if coeffs is not None:
+            assert all(isinstance(c, Fraction) for c in coeffs)
+            assert [sum(c * col[r] for c, col in zip(coeffs, columns))
+                    for r in range(len(target))] == target
+    if kind in ("consistent", "rank-deficient"):
+        assert outcomes == {False}
+    else:
+        assert outcomes == {False, True}
 
 
 def test_flatten_positions():
@@ -134,6 +203,23 @@ def test_sum_conditions_good_and_bad():
     assert any("row" in v for v in verdict.violations)
     with pytest.raises(DomainError):
         check_sum_conditions((Fraction(1),), [], m)
+
+
+def test_sum_conditions_mixed_denominators():
+    fam = [RowMonomialMatrix(3, (0, 1, 2)), RowMonomialMatrix(3, (2, 2, 0)),
+           RowMonomialMatrix(3, (1, 0, 1))]
+    verdict = check_sum_conditions((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)), fam, fam[0])
+    assert verdict.ok and verdict.violations == ()
+    assert type(verdict.coefficient_sum) is Fraction and verdict.coefficient_sum == 1
+    assert verdict.row_sums == (Fraction(1),) * 3
+    assert all(type(s) is Fraction for s in verdict.row_sums)
+    verdict = check_sum_conditions((Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4)), fam, None)
+    assert not verdict.ok
+    assert verdict.coefficient_sum == Fraction(7, 12)
+    assert verdict.row_sums == (Fraction(7, 12),) * 3
+    assert all(type(s) is Fraction for s in verdict.row_sums)
+    assert verdict.violations[0] == "coefficient sum 7/12 != 0"
+    assert verdict.violations[1:] == tuple(f"row {i} sums to 7/12 != 0" for i in range(3))
 
 
 def test_vij_basis_shapes_frozen():

@@ -1,5 +1,8 @@
 """Invariant suites at reduced scale; the acceptance gate runs them in full."""
 
+import hashlib
+import json
+
 from rowsync.suites import (basis_dimension_suite, rank_monotonicity_suite, run_all,
                             sink_equation_suite, sum_conditions_suite)
 
@@ -34,3 +37,16 @@ def test_column_family_dimensions_reported():
         assert info["two_column_pairs"] == [n + 1]
         assert info["single_column_family"] == n
         assert info["shared_column_at_most_two"] == n * (n - 1) + 1
+
+
+def _digest(result):
+    return hashlib.sha256(json.dumps(result.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+def test_exact_suite_documents_pinned():
+    # Digests of the documents as first recorded, before the elimination
+    # kernel was rewritten; any change to what the suites find shows here.
+    assert _digest(sum_conditions_suite(samples=200, seed=0)) == (
+        "0f6f0217bb89e68492e04a123ac69a1afe4f87d7f387b90df6b4a25c59e176d7")
+    assert _digest(basis_dimension_suite(samples=50, seed=2)) == (
+        "f24c143484cc3d0e6bb426178b109f6876b7327428c117c22ee31326e2449002")
