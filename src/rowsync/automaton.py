@@ -2,9 +2,10 @@
 
 States are 0..n-1, letters are 0..k-1, and a word is any sequence of letter
 indices; the empty word acts as the identity.  The exact shortest-word
-search runs breadth-first over bitset-encoded state subsets, the
-polynomial synchronization test and the greedy heuristic work on the pair
-automaton instead, so they stay usable where the exact search does not.
+search is one subset BFS over 8-state chunk tables, on bitset-encoded
+state subsets; the polynomial synchronization test and the greedy heuristic
+work on the pair automaton instead, so they stay usable where the exact
+search does not.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, DomainError, InvalidWordError, ParseError
@@ -96,7 +97,8 @@ def parse_word(text: str, k: int) -> Word:
             letters += (pos,)
     for a in letters:
         if not 0 <= a < k:
-            raise InvalidWordError(f"letter {format_word((a,), k) if a < 26 else a!r} outside alphabet of size {k}")
+            name = format_word((a,), k) if 0 <= a < len(_ALPHA) else a
+            raise InvalidWordError(f"letter {name} outside alphabet of size {k}")
     return letters
 
 
@@ -113,26 +115,61 @@ def apply_word(dfa: Dfa, states: Iterable[int], word: Sequence[int]) -> StateSet
     return current
 
 
-def _check_exact_limit(n: int, limit: int):
+def _search(dfa: Dfa, limit: int) -> Word | None:
+    """The subset search behind shortest_reset_word and shortest_reset_length.
+
+    Subsets are bitmasks.  The states are cut into chunks of 8, and each
+    chunk has one table mapping every subset of its states to the images of
+    that subset under all k letters at once, letter a's image in bits
+    a*n .. a*n+n-1 of one integer.  The images of any subset are the OR of
+    one lookup per chunk.  A table is built by doubling: adding a state to
+    every subset already listed ORs in that state's k successors.
+    """
+    n, k = dfa.n, dfa.k
     if n > limit:
         raise CapacityError(
             f"exact subset search handles n <= {limit} (got n = {n}); "
             "raise the limit or fall back to greedy_reset_word"
         )
-
-
-def _subset_image_tables(dfa: Dfa) -> list[list[int]]:
-    """Per-letter image of every subset bitmask, built by lowest-bit DP."""
-    size = 1 << dfa.n
+    if n == 1:
+        return ()
     tables = []
-    for row in dfa.delta:
-        bits = [1 << t for t in row]
-        img = [0] * size
-        for mask in range(1, size):
-            low = mask & (mask - 1)
-            img[mask] = img[low] | bits[(mask & -mask).bit_length() - 1]
-        tables.append(img)
-    return tables
+    for lo in range(0, n, 8):
+        table = [0]
+        for q in range(lo, min(lo + 8, n)):
+            successors = 0
+            for a, row in enumerate(dfa.delta):
+                successors |= 1 << (a * n + row[q])
+            table += [images | successors for images in table]
+        tables.append(table)
+    full = (1 << n) - 1
+    parent: dict[int, tuple[int, int] | None] = {full: None}
+    level = [full]
+    while level:
+        frontier = []
+        for cur in level:
+            images = 0
+            rest = cur
+            for table in tables:
+                images |= table[rest & 255]
+                rest >>= 8
+            for a in range(k):
+                nxt = images & full
+                images >>= n
+                if nxt in parent:
+                    continue
+                parent[nxt] = (cur, a)
+                if nxt & (nxt - 1) == 0:
+                    word = [a]
+                    node = cur
+                    while node != full:
+                        node, letter = parent[node]
+                        word.append(letter)
+                    word.reverse()
+                    return tuple(word)
+                frontier.append(nxt)
+        level = frontier
+    return None
 
 
 def shortest_reset_word(dfa: Dfa, limit: int = EXACT_SEARCH_LIMIT) -> Word | None:
@@ -144,85 +181,13 @@ def shortest_reset_word(dfa: Dfa, limit: int = EXACT_SEARCH_LIMIT) -> Word | Non
     first singleton found therefore closes the lexicographically least among
     all shortest reset words.
     """
-    _check_exact_limit(dfa.n, limit)
-    n, k = dfa.n, dfa.k
-    if n == 1:
-        return ()
-    full = (1 << n) - 1
-    use_tables = n <= 12
-    if use_tables:
-        tables = _subset_image_tables(dfa)
-    else:
-        bit_images = [[1 << row[q] for q in range(n)] for row in dfa.delta]
-    parent: dict[int, tuple[int, int]] = {full: (-1, -1)}
-    queue = deque([full])
-    while queue:
-        cur = queue.popleft()
-        for a in range(k):
-            if use_tables:
-                nxt = tables[a][cur]
-            else:
-                nxt = 0
-                m = cur
-                bits = bit_images[a]
-                while m:
-                    low = m & -m
-                    nxt |= bits[low.bit_length() - 1]
-                    m ^= low
-            if nxt in parent:
-                continue
-            parent[nxt] = (cur, a)
-            if nxt & (nxt - 1) == 0:
-                letters = [a]
-                node = cur
-                while node != full:
-                    prev, letter = parent[node]
-                    letters.append(letter)
-                    node = prev
-                letters.reverse()
-                return tuple(letters)
-            queue.append(nxt)
-    return None
+    return _search(dfa, limit)
 
 
 def shortest_reset_length(dfa: Dfa, limit: int = EXACT_SEARCH_LIMIT) -> int | None:
-    """Length of the shortest reset word, without reconstructing the word.
-
-    Cheaper than shortest_reset_word on bulk runs; same search, no parents.
-    """
-    _check_exact_limit(dfa.n, limit)
-    n, k = dfa.n, dfa.k
-    if n == 1:
-        return 0
-    full = (1 << n) - 1
-    use_tables = n <= 12
-    if use_tables:
-        tables = _subset_image_tables(dfa)
-    else:
-        bit_images = [[1 << row[q] for q in range(n)] for row in dfa.delta]
-    dist = {full: 0}
-    queue = deque([full])
-    while queue:
-        cur = queue.popleft()
-        d = dist[cur] + 1
-        for a in range(k):
-            if use_tables:
-                nxt = tables[a][cur]
-            else:
-                nxt = 0
-                m = cur
-                bits = bit_images[a]
-                while m:
-                    low = m & -m
-                    nxt |= bits[low.bit_length() - 1]
-                    m ^= low
-            if nxt in dist:
-                continue
-            if nxt & (nxt - 1) == 0:
-                return d
-            dist[nxt] = d
-            queue.append(nxt)
-    return None
+    """Length of the shortest reset word, or None if the automaton is not synchronizing."""
+    word = _search(dfa, limit)
+    return None if word is None else len(word)
 
 
 def _pair_merge_table(dfa: Dfa) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
@@ -354,37 +319,33 @@ def count_dfas(n: int, k: int) -> int:
     return n ** (n * k)
 
 
-def enumerate_dfas(n: int, k: int, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[Dfa]:
-    """All complete transition tables in lexicographic order, letter-major.
+def enumerate_dfas(n: int, k: int, budget: int = DEFAULT_ENUM_BUDGET,
+                   start: int = 0, stop: int | None = None) -> Iterator[Dfa]:
+    """Complete transition tables in lexicographic order, letter-major.
 
-    No identification up to isomorphism: n^(n*k) automata are yielded.
+    Yields the tables whose index lies in [start, stop); stop defaults to
+    n^(n*k), so by default every table.  Index 0 is the all-zero table and
+    the last index sends everything to n-1.  budget caps the number of
+    tables one call yields.  No identification up to isomorphism.
     """
     if n < 1 or k < 1:
         raise DomainError(f"need n >= 1 and k >= 1, got n = {n}, k = {k}")
     total = count_dfas(n, k)
-    if total > budget:
+    if stop is None:
+        stop = total
+    if not 0 <= start <= stop <= total:
+        raise DomainError(f"table index range [{start}, {stop}) outside [0, {total}]")
+    if stop - start > budget:
         raise CapacityError(
-            f"enumerating {total} tables exceeds the budget of {budget}; raise budget to proceed"
+            f"enumerating {stop - start} tables exceeds the budget of {budget}; raise budget to proceed"
         )
-    for flat in product(range(n), repeat=n * k):
+    for flat in islice(product(range(n), repeat=n * k), start, stop):
         yield Dfa(n=n, k=k, delta=tuple(flat[i * n:(i + 1) * n] for i in range(k)))
 
 
 def dfa_from_table_index(n: int, k: int, index: int) -> Dfa:
-    """Decode a lexicographic table index into the corresponding automaton.
-
-    Index 0 is the all-zero table; index n^(n*k) - 1 sends everything to n-1.
-    Useful for sharding an enumeration without materializing it.
-    """
-    total = count_dfas(n, k)
-    if not 0 <= index < total:
-        raise DomainError(f"table index {index} outside [0, {total})")
-    digits = [0] * (n * k)
-    rem = index
-    for pos in range(n * k - 1, -1, -1):
-        digits[pos] = rem % n
-        rem //= n
-    return Dfa(n=n, k=k, delta=tuple(tuple(digits[i * n:(i + 1) * n]) for i in range(k)))
+    """The automaton with the given lexicographic index in enumerate_dfas."""
+    return next(enumerate_dfas(n, k, 1, index, index + 1))
 
 
 def random_dfa(n: int, k: int, seed: int) -> Dfa:

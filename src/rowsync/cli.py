@@ -17,9 +17,9 @@ from dataclasses import asdict, dataclass
 from multiprocessing import Pool
 
 from .automaton import (DEFAULT_ENUM_BUDGET, EXACT_SEARCH_LIMIT, Dfa, cerny_automaton,
-                        cerny_bound, count_dfas, cubic_bound, format_word, greedy_reset_word,
-                        is_strongly_connected, is_synchronizing, parse_word, random_dfa,
-                        read_dfa, shortest_reset_length, shortest_reset_word, to_dot,
+                        cerny_bound, count_dfas, cubic_bound, enumerate_dfas, format_word,
+                        greedy_reset_word, is_strongly_connected, is_synchronizing, parse_word,
+                        random_dfa, read_dfa, shortest_reset_length, shortest_reset_word, to_dot,
                         write_dfa_text)
 from .errors import CapacityError, RowsyncError
 from .probe import allocation_probe, prefix_trace
@@ -278,27 +278,14 @@ def _run_gen(config: RunConfig) -> RunResult:
 def _enum_shard_stats(params: tuple[int, int, int, int, int]) -> dict:
     """Aggregate one contiguous index range of the table enumeration."""
     n, k, start, stop, limit = params
-    width = n * k
-    digits = [0] * width
-    rem = start
-    for pos in range(width - 1, -1, -1):
-        digits[pos] = rem % n
-        rem //= n
     hist: dict[int, int] = {}
     sync = 0
-    for _ in range(start, stop):
-        delta = tuple(tuple(digits[i * n:(i + 1) * n]) for i in range(k))
-        length = shortest_reset_length(Dfa(n=n, k=k, delta=delta), limit)
+    # _run_enum has checked the whole sweep against the configured budget.
+    for dfa in enumerate_dfas(n, k, stop - start, start, stop):
+        length = shortest_reset_length(dfa, limit)
         if length is not None:
             sync += 1
             hist[length] = hist.get(length, 0) + 1
-        pos = width - 1
-        while pos >= 0:
-            digits[pos] += 1
-            if digits[pos] < n:
-                break
-            digits[pos] = 0
-            pos -= 1
     return {"count": stop - start, "sync": sync, "hist": hist}
 
 

@@ -304,21 +304,13 @@ def allocation_probe(dfa: Dfa, word: Sequence[int], q: int | None = None,
     n = dfa.n
     notes: list[str] = ["empty prefix excluded by convention"]
 
+    trace = prefix_trace(dfa, w)
+    records = trace.records
     matrices = _prefix_matrices(dfa, w)
-    basis = RationalBasis(n * n)
-    records = []
-    images = []
-    for i, m in enumerate(matrices, start=1):
-        basis.insert(flatten(m))
-        cols = nonzero_columns(m)
-        images.append(cols)
-        records.append(PrefixRecord(length=i, word=w[:i], r_size=len(cols),
-                                    dimension=basis.dimension))
-    trace = PrefixTrace(records=tuple(records))
 
     cell_columns = _distinctive_columns(n, sink) if n >= 2 else ()
     cell_limit = max(0, n * (n - 2))
-    collected = [i for i, m in enumerate(matrices) if records[i].r_size > 1]
+    collected = [i for i, r in enumerate(records) if r.r_size > 1]
     if len(collected) > cell_limit:
         notes.append(f"{len(collected)} prefixes with rank above one, keeping the first {cell_limit}")
         collected = collected[:cell_limit]
@@ -329,7 +321,7 @@ def allocation_probe(dfa: Dfa, word: Sequence[int], q: int | None = None,
     order = sorted(range(len(collected)), key=lambda j: (-records[collected[j]].r_size, j))
     adjacency = []
     for j in order:
-        image = images[collected[j]]
+        image = nonzero_columns(matrices[collected[j]])
         adjacency.append([cell_index[(r, c)] for (r, c) in cells if r not in image])
     match_left = maximum_matching(adjacency, len(cells))
 

@@ -1,9 +1,11 @@
 """Automaton construction, word actions, and reset-word search.
 
-The expensive searches are checked against a brute-force oracle that tries
-every word in length order, which knows nothing about subset encodings.
+The expensive searches are checked against two oracles that know nothing
+about subset encodings: a brute force that tries every word in length order,
+and a breadth-first search over frozensets.
 """
 
+import random
 from itertools import product
 
 import pytest
@@ -72,6 +74,10 @@ def test_word_rendering_round_trip():
         parse_word("abc", 2)
     with pytest.raises(InvalidWordError):
         parse_word("a!b", 2)
+    for text, index in (("-1", -1), ("0,-3", -3)):
+        with pytest.raises(InvalidWordError) as err:
+            parse_word(text, 2)
+        assert str(err.value) == f"letter {index} outside alphabet of size 2"
 
 
 def test_cerny_construction():
@@ -106,13 +112,54 @@ def test_shortest_against_brute_force_exhaustive_n2():
             assert got == expected
 
 
-def test_shortest_against_brute_force_sampled_n3():
-    total = count_dfas(3, 2)
-    for index in range(0, total, 37):
+def test_shortest_against_brute_force_exhaustive_n3():
+    for index in range(count_dfas(3, 2)):
         d = dfa_from_table_index(3, 2, index)
         expected = brute_force_shortest(d, 4)
         got = shortest_reset_word(d)
         assert got == expected, f"table {index}"
+
+
+def frozenset_bfs_shortest(dfa):
+    """Least shortest reset word by BFS over frozensets, letters in index order, or None."""
+    start = frozenset(range(dfa.n))
+    if len(start) == 1:
+        return ()
+    words = {start: ()}
+    level = [start]
+    while level:
+        frontier = []
+        for subset in level:
+            for a in range(dfa.k):
+                image = frozenset(dfa.delta[a][q] for q in subset)
+                if image in words:
+                    continue
+                words[image] = words[subset] + (a,)
+                if len(image) == 1:
+                    return words[image]
+                frontier.append(image)
+        level = frontier
+    return None
+
+
+def two_component_dfa(n, k, seed):
+    """Random letters that keep the states below n // 2 apart from the rest: never synchronizing."""
+    rng = random.Random(seed)
+    half = n // 2
+    delta = tuple(tuple(rng.randrange(half) if q < half else rng.randrange(half, n) for q in range(n))
+                  for _ in range(k))
+    return Dfa(n=n, k=k, delta=delta)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_shortest_against_frozenset_bfs_at_chunk_edges(n, k):
+    cases = [random_dfa(n, k, seed=1000 * n + 10 * k + i) for i in range(4)]
+    cases += [two_component_dfa(n, k, seed=n * k), Dfa(n, k, [[(q + 1) % n for q in range(n)]] * k)]
+    expected = [frozenset_bfs_shortest(d) for d in cases]
+    assert expected[-2:] == [None, None]
+    for d, word in zip(cases, expected):
+        assert shortest_reset_word(d) == word, d.delta
 
 
 def test_pair_criterion_agrees_with_subset_search():

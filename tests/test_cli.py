@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rowsync.cli import RunConfig, build_parser, config_from_args, main, run
+from rowsync.cli import RunConfig, _enum_shard_stats, build_parser, config_from_args, main, run
 
 CERNY3_TEXT = "3 2\n1 2 0\n1 1 2\n"
 
@@ -205,15 +205,30 @@ def test_enum_filter_sync(capsys):
     assert report["length_histogram"] == {"1": 12}
 
 
-def test_enum_parallel_matches_serial(capsys):
-    code, serial = run_main(["enum", "--n", "3", "--k", "2", "--json"], capsys)
+@pytest.mark.parametrize("n,k,sync,histogram", [
+    (3, 2, 549, {"1": 153, "2": 324, "3": 48, "4": 24}),
+    (3, 3, 18375, {"1": 5859, "2": 10680, "3": 1440, "4": 396}),
+    (4, 2, 51520, {"1": 2032, "2": 22032, "3": 17616, "4": 4896, "5": 3072, "6": 1008,
+                   "7": 528, "8": 240, "9": 96}),
+], ids=["3-2", "3-3", "4-2"])
+def test_enum_parallel_matches_serial(capsys, n, k, sync, histogram):
+    code, serial = run_main(["enum", "--n", str(n), "--k", str(k), "--json"], capsys)
     assert code == 0
-    code, parallel = run_main(["enum", "--n", "3", "--k", "2", "--jobs", "3", "--json"], capsys)
+    code, parallel = run_main(["enum", "--n", str(n), "--k", str(k), "--jobs", "3", "--json"], capsys)
     assert code == 0
     assert json.loads(serial)["report"] == json.loads(parallel)["report"]
     report = json.loads(serial)["report"]
-    assert report["synchronizing"] == 549
-    assert report["length_histogram"] == {"1": 153, "2": 324, "3": 48, "4": 24}
+    assert report["synchronizing"] == sync
+    assert report["length_histogram"] == histogram
+
+
+def test_enum_mid_range_shard_pinned():
+    # Tables 12344, 12345, 54301 and 54302 have shortest lengths 2, 2, 4 and 5,
+    # so moving either end of the range by one changes the histogram.
+    stats = _enum_shard_stats((4, 2, 12345, 54302, 24))
+    assert stats == {"count": 41957, "sync": 33539,
+                     "hist": {1: 1160, 2: 13702, 3: 11674, 4: 3382, 5: 2189, 6: 769,
+                              7: 409, 8: 190, 9: 64}}
 
 
 def test_enum_budget_exits_one(capsys):
