@@ -25,6 +25,7 @@ EXACT_SEARCH_LIMIT = 24
 DEFAULT_ENUM_BUDGET = 1_000_000
 
 _ALPHA = "abcdefghijklmnopqrstuvwxyz"
+_INT_ONLY = {int}
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,15 +41,21 @@ class Dfa:
             raise DomainError(f"state count must be positive, got {self.n}")
         if self.k < 1:
             raise DomainError(f"alphabet size must be positive, got {self.k}")
-        object.__setattr__(self, "delta", tuple(tuple(row) for row in self.delta))
-        if len(self.delta) != self.k:
-            raise DomainError(f"delta needs one row per letter: expected {self.k}, got {len(self.delta)}")
-        for a, row in enumerate(self.delta):
-            if len(row) != self.n:
-                raise DomainError(f"delta row {a} needs {self.n} entries, got {len(row)}")
+        delta = tuple(map(tuple, self.delta))
+        object.__setattr__(self, "delta", delta)
+        if len(delta) != self.k:
+            raise DomainError(f"delta needs one row per letter: expected {self.k}, got {len(delta)}")
+        n = self.n
+        for a, row in enumerate(delta):
+            if len(row) != n:
+                raise DomainError(f"delta row {a} needs {n} entries, got {len(row)}")
+            # One pass per row for the common case of plain ints in range; any
+            # other row (bools, floats, bad targets) gets the per-entry check.
+            if set(map(type, row)) == _INT_ONLY and min(row) >= 0 and max(row) < n:
+                continue
             for q, t in enumerate(row):
-                if not isinstance(t, int) or not 0 <= t < self.n:
-                    raise DomainError(f"delta[{a}][{q}] = {t!r} outside [0, {self.n})")
+                if not isinstance(t, int) or not 0 <= t < n:
+                    raise DomainError(f"delta[{a}][{q}] = {t!r} outside [0, {n})")
 
     def step(self, state: int, letter: int) -> int:
         return self.delta[letter][state]
@@ -317,6 +324,49 @@ def cerny_automaton(n: int) -> Dfa:
 
 def count_dfas(n: int, k: int) -> int:
     return n ** (n * k)
+
+
+def conjugacy_classes(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """The maps [n] -> [n] up to state relabelling: (least member, class size) pairs.
+
+    Relabelling the states by a permutation s sends a map f to s f s^-1.  The
+    classes come in lexicographic order of their least members, and their
+    sizes sum to n^n.  Each map not yet reached, taken in lexicographic order,
+    is the least member of a new class, which is flooded under conjugation by
+    the transposition (0 1) and the n-cycle, two generators of the symmetric
+    group.  Marks live in a bytearray of n^n entries, so this takes n^n bytes
+    and O(n^n * n) time.
+    """
+    if n < 1:
+        raise DomainError(f"need n >= 1, got n = {n}")
+    cycle = tuple((i + 1) % n for i in range(n))
+    swap = (1, 0, *range(2, n)) if n > 1 else cycle
+    place = [n ** (n - 1 - i) for i in range(n)]
+    # Conjugating f by s gives the map s[i] -> s[f[i]]; its index in the
+    # lexicographic order is the sum of s[f[i]] * place[s[i]].
+    generators = [(s, [place[s[i]] for i in range(n)]) for s in (swap, cycle)]
+    seen = bytearray(n ** n)
+    classes = []
+    for index, f in enumerate(product(range(n), repeat=n)):
+        if seen[index]:
+            continue
+        seen[index] = 1
+        size = 0
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            size += 1
+            for s, weight in generators:
+                image = [s[t] for t in g]
+                j = sum(map(int.__mul__, image, weight))
+                if not seen[j]:
+                    seen[j] = 1
+                    h = [0] * n
+                    for i, t in enumerate(image):
+                        h[s[i]] = t
+                    stack.append(h)
+        classes.append((f, size))
+    return classes
 
 
 def enumerate_dfas(n: int, k: int, budget: int = DEFAULT_ENUM_BUDGET,

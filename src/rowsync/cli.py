@@ -14,10 +14,11 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
+from itertools import product
 from multiprocessing import Pool
 
 from .automaton import (DEFAULT_ENUM_BUDGET, EXACT_SEARCH_LIMIT, Dfa, cerny_automaton,
-                        cerny_bound, count_dfas, cubic_bound, enumerate_dfas, format_word,
+                        cerny_bound, conjugacy_classes, count_dfas, cubic_bound, format_word,
                         greedy_reset_word, is_strongly_connected, is_synchronizing, parse_word,
                         random_dfa, read_dfa, shortest_reset_length, shortest_reset_word, to_dot,
                         write_dfa_text)
@@ -122,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="aggregate synchronizing automata only")
     p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, at most the CPU count and the table count")
+                   help="worker processes, at most the CPU count and the letter-0 row class count")
     add_common(p, with_limit=True)
     return parser
 
@@ -275,18 +276,27 @@ def _run_gen(config: RunConfig) -> RunResult:
     return RunResult(0, _document(config, report), text)
 
 
-def _enum_shard_stats(params: tuple[int, int, int, int, int]) -> dict:
-    """Aggregate one contiguous index range of the table enumeration."""
-    n, k, start, stop, limit = params
+def _enum_shard_stats(params: tuple[int, int, list[tuple[tuple[int, ...], int]], int]) -> dict:
+    """Aggregate the tables whose letter-0 row lies in one of the given classes.
+
+    Relabelling the states maps a table to one with the same shortest reset
+    length and conjugates its letter-0 row, so the tables of a class have,
+    together, class size times the histogram of the tables whose letter-0 row
+    is the class's least member.  The other rows range over every value.
+    """
+    n, k, classes, limit = params
     hist: dict[int, int] = {}
     sync = 0
-    # _run_enum has checked the whole sweep against the configured budget.
-    for dfa in enumerate_dfas(n, k, stop - start, start, stop):
-        length = shortest_reset_length(dfa, limit)
-        if length is not None:
-            sync += 1
-            hist[length] = hist.get(length, 0) + 1
-    return {"count": stop - start, "sync": sync, "hist": hist}
+    # With k = 1 there are no other rows, and product((), repeat=0) yields one
+    # empty tuple; listing the n^n rows anyway would cost n^n tuples.
+    rows = list(product(range(n), repeat=n)) if k > 1 else ()
+    for first, size in classes:
+        for rest in product(rows, repeat=k - 1):
+            length = shortest_reset_length(Dfa(n=n, k=k, delta=(first, *rest)), limit)
+            if length is not None:
+                sync += size
+                hist[length] = hist.get(length, 0) + size
+    return {"sync": sync, "hist": hist}
 
 
 def _run_enum(config: RunConfig) -> RunResult:
@@ -295,14 +305,16 @@ def _run_enum(config: RunConfig) -> RunResult:
     if total > config.budget:
         raise CapacityError(f"enumerating {total} tables exceeds the budget of {config.budget}; "
                             "raise --budget to proceed")
-    workers = min(max(1, config.jobs), os.cpu_count() or 1, total)
-    chunk = -(-total // workers)
-    ranges = [(n, k, lo, min(lo + chunk, total), config.limit) for lo in range(0, total, chunk)]
-    if len(ranges) == 1:
-        parts = [_enum_shard_stats(ranges[0])]
+    # n^n <= n^(nk) <= budget, so the class listing's n^n bytes are covered too.
+    classes = conjugacy_classes(n)
+    workers = min(max(1, config.jobs), os.cpu_count() or 1, len(classes))
+    chunk = -(-len(classes) // workers)
+    shards = [(n, k, classes[lo:lo + chunk], config.limit) for lo in range(0, len(classes), chunk)]
+    if len(shards) == 1:
+        parts = [_enum_shard_stats(shards[0])]
     else:
-        with Pool(processes=len(ranges)) as pool:
-            parts = pool.map(_enum_shard_stats, ranges)
+        with Pool(processes=len(shards)) as pool:
+            parts = pool.map(_enum_shard_stats, shards)
     sync = sum(p["sync"] for p in parts)
     hist: dict[int, int] = {}
     for p in parts:

@@ -2,21 +2,25 @@
 
 The expensive searches are checked against two oracles that know nothing
 about subset encodings: a brute force that tries every word in length order,
-and a breadth-first search over frozensets.
+and a breadth-first search over frozensets.  The enumeration up to state
+relabelling is checked against a brute force over all permutations and
+against a raw sweep of every table.
 """
 
 import random
-from itertools import product
+from collections import Counter
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rowsync.automaton import (Dfa, apply_word, cerny_automaton, cerny_bound, count_dfas,
-                               cubic_bound, dfa_from_table_index, enumerate_dfas, format_word,
-                               greedy_reset_word, is_strongly_connected, is_synchronizing,
-                               parse_word, random_dfa, read_dfa_text, shortest_reset_length,
-                               shortest_reset_word, to_dot, write_dfa_text)
+from rowsync.automaton import (Dfa, apply_word, cerny_automaton, cerny_bound, conjugacy_classes,
+                               count_dfas, cubic_bound, dfa_from_table_index, enumerate_dfas,
+                               format_word, greedy_reset_word, is_strongly_connected,
+                               is_synchronizing, parse_word, random_dfa, read_dfa_text,
+                               shortest_reset_length, shortest_reset_word, to_dot, write_dfa_text)
+from rowsync.cli import RunConfig, run
 from rowsync.errors import CapacityError, DomainError, InvalidWordError, ParseError
 
 # Frozen oracle values, reproduced by brute_force_shortest below.
@@ -50,6 +54,25 @@ def test_dfa_validation():
     d = Dfa(2, 1, [[1, 0]])
     assert d.delta == ((1, 0),)
     assert d.step(0, 0) == 1
+    d = Dfa(2, 2, [[True, False], (0, 1)])
+    assert d.delta == ((1, 0), (0, 1)) and d.delta[0][0] is True
+
+
+@pytest.mark.parametrize("n,k,delta,message", [
+    (2, 1, [[0, 1.0]], "delta[0][1] = 1.0 outside [0, 2)"),
+    (2, 1, [[0, -1]], "delta[0][1] = -1 outside [0, 2)"),
+    (2, 1, [[0, 2]], "delta[0][1] = 2 outside [0, 2)"),
+    (2, 1, [["0", 1]], "delta[0][0] = '0' outside [0, 2)"),
+    (2, 1, [[None, 1]], "delta[0][0] = None outside [0, 2)"),
+    (2, 1, [[True, 5]], "delta[0][1] = 5 outside [0, 2)"),
+    (3, 2, [[0, 1, 2], [2, 1, -3]], "delta[1][2] = -3 outside [0, 3)"),
+    (3, 2, [[0, 1, 2], [2, 1]], "delta row 1 needs 3 entries, got 2"),
+    (3, 2, [[0, 1, 2]], "delta needs one row per letter: expected 2, got 1"),
+])
+def test_dfa_validation_messages(n, k, delta, message):
+    with pytest.raises(DomainError) as err:
+        Dfa(n, k, delta)
+    assert str(err.value) == message
 
 
 def test_apply_word_basics():
@@ -230,6 +253,51 @@ def test_table_index_matches_enumeration():
         assert dfa_from_table_index(2, 2, index) == d
     with pytest.raises(DomainError):
         dfa_from_table_index(2, 2, 16)
+
+
+def brute_force_classes(n):
+    """(least member, size) of every class {s f s^-1 : s in S_n}, by trying every s."""
+    covered = set()
+    classes = []
+    for f in product(range(n), repeat=n):
+        if f in covered:
+            continue
+        orbit = set()
+        for s in permutations(range(n)):
+            g = [0] * n
+            for i in range(n):
+                g[s[i]] = s[f[i]]
+            orbit.add(tuple(g))
+        covered |= orbit
+        classes.append((min(orbit), len(orbit)))
+    return sorted(classes)
+
+
+def test_conjugacy_classes():
+    # OEIS A001372: maps [n] -> [n] up to relabelling.
+    classes = {n: conjugacy_classes(n) for n in range(1, 7)}
+    assert [len(classes[n]) for n in range(1, 7)] == [1, 3, 7, 19, 47, 130]
+    for n, found in classes.items():
+        assert sum(size for _, size in found) == n ** n
+        if n <= 5:
+            assert found == brute_force_classes(n), n
+    with pytest.raises(DomainError):
+        conjugacy_classes(0)
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_enum_weighted_by_class_matches_raw_sweep(n, k):
+    hist = Counter()
+    for d in enumerate_dfas(n, k):
+        word = frozenset_bfs_shortest(d)
+        if word is not None:
+            hist[len(word)] += 1
+    report = run(RunConfig(command="enum", n=n, k=k)).document["report"]
+    assert report["total_tables"] == n ** (n * k)
+    assert report["synchronizing"] == sum(hist.values())
+    expected = [(str(length), hist[length]) for length in sorted(hist)]
+    assert list(report["length_histogram"].items()) == expected
+    assert (report["max_length"], report["max_length_count"]) == (max(hist), hist[max(hist)])
 
 
 def test_random_dfa_reproducible():

@@ -1,9 +1,11 @@
 """End-to-end runs of the command-line front end."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from rowsync.automaton import conjugacy_classes
 from rowsync.cli import RunConfig, _enum_shard_stats, build_parser, config_from_args, main, run
 
 CERNY3_TEXT = "3 2\n1 2 0\n1 1 2\n"
@@ -222,18 +224,30 @@ def test_enum_parallel_matches_serial(capsys, n, k, sync, histogram):
     assert report["length_histogram"] == histogram
 
 
-def test_enum_mid_range_shard_pinned():
-    # Tables 12344, 12345, 54301 and 54302 have shortest lengths 2, 2, 4 and 5,
-    # so moving either end of the range by one changes the histogram.
-    stats = _enum_shard_stats((4, 2, 12345, 54302, 24))
-    assert stats == {"count": 41957, "sync": 33539,
-                     "hist": {1: 1160, 2: 13702, 3: 11674, 4: 3382, 5: 2189, 6: 769,
-                              7: 409, 8: 190, 9: 64}}
+def test_enum_class_shards_add_up():
+    # Uneven cuts of the 19 letter-0 row classes of n = 4.  Every shard holds
+    # synchronizing tables, so dropping any one of them changes the totals.
+    classes = conjugacy_classes(4)
+    parts = [_enum_shard_stats((4, 2, classes[lo:hi], 24)) for lo, hi in ((0, 1), (1, 7), (7, 19))]
+    hist = Counter()
+    for part in parts:
+        hist.update(part["hist"])
+    assert sum(part["sync"] for part in parts) == 51520
+    assert hist == {1: 2032, 2: 22032, 3: 17616, 4: 4896, 5: 3072, 6: 1008, 7: 528, 8: 240, 9: 96}
+    for dropped in range(len(parts)):
+        assert sum(part["sync"] for i, part in enumerate(parts) if i != dropped) != 51520
 
 
-def test_enum_budget_exits_one(capsys):
+def test_enum_budget_exits_one(capsys, monkeypatch):
+    import rowsync.cli
+
+    def refuse(n):
+        raise AssertionError("conjugacy classes listed before the budget check")
+
+    # The listing takes n^n bytes; n^n <= n^(nk), so the budget check must come first.
+    monkeypatch.setattr(rowsync.cli, "conjugacy_classes", refuse)
     assert main(["enum", "--n", "4", "--k", "3"]) == 1
-    assert "budget" in capsys.readouterr().err
+    assert "exceeds the budget of 1000000" in capsys.readouterr().err
 
 
 def test_gen_random_reproducible(capsys):
