@@ -1,10 +1,14 @@
 """Exact rational linear algebra over flattened matrices.
 
 Matrices enter as row-major 0/1 vectors of length n*n.  Every rank,
-membership and coefficient answer comes from one integer elimination step:
-cross-multiply to clear a pivot entry, then divide out the gcd.  Rationals
-appear only when express_vectors reads off its coefficients.  No floating
-point anywhere, so ranks, span membership and coefficients are exact.
+membership and coefficient answer comes from one fraction-free elimination
+step on sparse integer rows, {position: nonzero value}: cross-multiply to
+clear a pivot entry, divide out the gcd and make the leading entry positive.
+RationalBasis keeps its echelon rows keyed by pivot, and a flattened row
+monomial matrix has only n units among its n*n slots, so a step costs the
+nonzeros of two rows rather than their width.  Rationals appear only when
+express_vectors reads off its coefficients.  No floating point anywhere, so
+ranks, span membership and coefficients are exact.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -20,6 +24,7 @@ from .errors import DomainError
 from .rowmon import RowMonomialMatrix
 
 Vector = tuple[int, ...]
+Row = dict[int, int]
 RationalCoefficients = tuple[Fraction, ...]
 
 
@@ -32,73 +37,82 @@ def flatten(m: RowMonomialMatrix) -> Vector:
     return tuple(vec)
 
 
-def _eliminate(v: list[int], row: list[int], pivot: int) -> list[int]:
+def _eliminate(v: Row, row: Row, pivot: int) -> Row:
     """Clear v[pivot] against row (nonzero there) by cross-multiplying.
 
-    The result is divided by its gcd, with its leading entry made positive.
+    v is consumed.  The result is divided by its gcd, with its leading
+    entry, the one at the least position, made positive.
     """
     c = v[pivot]
     lead = row[pivot]
-    v = [a * lead - b * c for a, b in zip(v, row)]
-    g = gcd(*v)
-    if g > 1:
-        v = [x // g for x in v]
-    for x in v:
+    if lead != 1:
+        v = {p: a * lead for p, a in v.items()}
+    for p, b in row.items():
+        x = v.get(p, 0) - b * c
         if x:
-            if x < 0:
-                v = [-y for y in v]
-            break
+            v[p] = x
+        else:
+            del v[p]
+    g = gcd(*v.values())
+    if g > 1:
+        v = {p: x // g for p, x in v.items()}
+    if v and v[min(v)] < 0:
+        v = {p: -x for p, x in v.items()}
     return v
 
 
 class RationalBasis:
     """Incrementally maintained exact basis of integer vectors.
 
-    Keeps an integer echelon (rows sorted by pivot position) plus the list of
-    inserted vectors that actually grew the span, in insertion order.  A
-    single writer may interleave insert with dimension and membership
-    queries; instances are not safe for concurrent mutation.
+    Keeps an integer echelon, one sparse row per pivot position with the
+    pivots in a sorted list, plus the list of inserted vectors that actually
+    grew the span, in insertion order.  A single writer may interleave
+    insert with dimension and membership queries; instances are not safe for
+    concurrent mutation.
     """
 
     def __init__(self, ambient: int):
         if ambient < 1:
             raise DomainError(f"ambient dimension must be positive, got {ambient}")
         self.ambient = ambient
-        self._rows: list[tuple[int, list[int]]] = []
+        self._pivots: list[int] = []
+        self._rows: dict[int, Row] = {}
         self._inserted: list[Vector] = []
 
     @property
     def dimension(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
 
     @property
     def inserted_vectors(self) -> tuple[Vector, ...]:
         """The vectors that enlarged the span, in the order they arrived."""
         return tuple(self._inserted)
 
-    def _residue(self, vec: Sequence[int]) -> list[int]:
-        v = list(vec)
-        for pivot, row in self._rows:
-            if v[pivot]:
-                v = _eliminate(v, row, pivot)
+    def _residue(self, vec: Sequence[int]) -> Row:
+        if len(vec) != self.ambient:
+            raise DomainError(f"vector length {len(vec)} does not match ambient {self.ambient}")
+        v = {i: vec[i] for i in compress(range(len(vec)), vec)}
+        rows = self._rows
+        for pivot in self._pivots:
+            if not v:
+                break
+            if pivot in v:
+                v = _eliminate(v, rows[pivot], pivot)
         return v
 
     def insert(self, vec: Sequence[int]) -> bool:
         """Add a vector; True iff it was independent of the current span."""
-        if len(vec) != self.ambient:
-            raise DomainError(f"vector length {len(vec)} does not match ambient {self.ambient}")
         residue = self._residue(vec)
-        pivot = next((i for i, v in enumerate(residue) if v), None)
-        if pivot is None:
+        if not residue:
             return False
-        insort(self._rows, (pivot, residue))
+        pivot = min(residue)
+        insort(self._pivots, pivot)
+        self._rows[pivot] = residue
         self._inserted.append(tuple(vec))
         return True
 
     def contains(self, vec: Sequence[int]) -> bool:
-        if len(vec) != self.ambient:
-            raise DomainError(f"vector length {len(vec)} does not match ambient {self.ambient}")
-        return not any(self._residue(vec))
+        return not self._residue(vec)
 
     def serialize(self) -> list[list[int]]:
         """Ordered list of the stored flattened vectors."""
@@ -137,35 +151,41 @@ def span_dimension(matrices: Iterable[RowMonomialMatrix]) -> int:
 def express_vectors(target: Sequence[int], columns: Sequence[Sequence[int]]) -> RationalCoefficients | None:
     """Solve sum_i x_i * columns[i] = target exactly over the rationals.
 
-    Integer Gauss-Jordan on the rows of [columns | target] with the step
-    RationalBasis uses.  Each column in order pivots on the first usable row
-    and is cleared from all others, so pivot rows read lead * x = rhs and
-    x = Fraction(rhs, lead).  Free variables are zero, so equal inputs give
-    equal outputs.  Returns None when the target is outside the span.
+    Integer Gauss-Jordan on the sparse rows of [columns | target] with the
+    step RationalBasis uses.  Each column in order pivots on the first
+    usable row and is cleared from all others, so pivot rows read
+    lead * x = rhs and x = Fraction(rhs, lead).  Free variables are zero, so
+    equal inputs give equal outputs.  Returns None when the target is
+    outside the span.
     """
     m = len(columns)
     height = len(target)
     for col in columns:
         if len(col) != height:
             raise DomainError(f"column length {len(col)} does not match target length {height}")
-    rows = [row for row in ([c[r] for c in columns] + [target[r]] for r in range(height)) if any(row)]
+    entries: list[Row] = [{} for _ in range(height)]
+    for i, col in enumerate((*columns, target)):
+        for r, x in enumerate(col):
+            if x:
+                entries[r][i] = x
+    rows = [row for row in entries if row]
     pivots: list[int] = []
     for col in range(m):
         rank = len(pivots)
-        found = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        found = next((r for r in range(rank, len(rows)) if col in rows[r]), None)
         if found is None:
             continue
         rows[rank], rows[found] = rows[found], rows[rank]
         pivot = rows[rank]
         for r, row in enumerate(rows):
-            if r != rank and row[col]:
+            if r != rank and col in row:
                 rows[r] = _eliminate(row, pivot, col)
         pivots.append(col)
-    if any(row[m] for row in rows[len(pivots):]):
+    if any(m in row for row in rows[len(pivots):]):
         return None
     coeffs = [Fraction(0)] * m
     for row, col in zip(rows, pivots):
-        coeffs[col] = Fraction(row[m], row[col])
+        coeffs[col] = Fraction(row.get(m, 0), row[col])
     return tuple(coeffs)
 
 

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automaton import (Dfa, Word, apply_word, cerny_bound, check_word, format_word,
+from .automaton import (Dfa, Word, cerny_bound, check_word, format_word,
                         shortest_reset_length, EXACT_SEARCH_LIMIT)
 from .equation import is_solution, sink_matrix
 from .errors import CapacityError, DomainError
@@ -50,31 +50,41 @@ class PrefixTrace:
         ]
 
 
-def _prefix_matrices(dfa: Dfa, word: Word) -> list[RowMonomialMatrix]:
-    """Matrices of the nonempty prefixes, shortest first."""
-    out = []
-    targets = list(range(dfa.n))
-    for a in word:
+def _walk(dfa: Dfa, word: Sequence[int], q: int | None = None) -> tuple[Word, int, list[RowMonomialMatrix]]:
+    """Check a reset word and build the matrices of its nonempty prefixes.
+
+    One walk along the word gives every prefix matrix, shortest first, and
+    the state the word synchronizes to; that state must equal q when q is
+    given.
+    """
+    w = check_word(dfa, word)
+    n = dfa.n
+    targets = tuple(range(n))
+    matrices = []
+    for a in w:
         row = dfa.delta[a]
-        targets = [row[t] for t in targets]
-        out.append(RowMonomialMatrix(n=dfa.n, targets=tuple(targets)))
-    return out
-
-
-def _sink_of(dfa: Dfa, word: Word) -> int:
-    image = apply_word(dfa, range(dfa.n), word)
+        targets = tuple([row[t] for t in targets])
+        matrices.append(RowMonomialMatrix(n=n, targets=targets))
+    image = set(targets)
     if len(image) != 1:
         raise DomainError(
-            f"word {format_word(word, dfa.k)!r} does not synchronize: image has {len(image)} states"
+            f"word {format_word(w, dfa.k)!r} does not synchronize: image has {len(image)} states"
         )
-    return next(iter(image))
-
-
-def _resolve_sink(dfa: Dfa, word: Word, q: int | None) -> int:
-    sink = _sink_of(dfa, word)
+    sink = targets[0]
     if q is not None and q != sink:
         raise DomainError(f"word synchronizes to state {sink}, not to q = {q}")
-    return sink
+    return w, sink, matrices
+
+
+def _trace(n: int, w: Word, matrices: Sequence[RowMonomialMatrix]) -> PrefixTrace:
+    basis = RationalBasis(n * n)
+    records = []
+    for i, m in enumerate(matrices, start=1):
+        basis.insert(flatten(m))
+        records.append(PrefixRecord(length=i, word=w[:i],
+                                    r_size=len(nonzero_columns(m)),
+                                    dimension=basis.dimension))
+    return PrefixTrace(records=tuple(records))
 
 
 def prefix_trace(dfa: Dfa, word: Sequence[int]) -> PrefixTrace:
@@ -84,16 +94,8 @@ def prefix_trace(dfa: Dfa, word: Sequence[int]) -> PrefixTrace:
     and the span dimension never drops; both facts are recorded here and
     asserted elsewhere.
     """
-    w = check_word(dfa, word)
-    _sink_of(dfa, w)
-    basis = RationalBasis(dfa.n * dfa.n)
-    records = []
-    for i, m in enumerate(_prefix_matrices(dfa, w), start=1):
-        basis.insert(flatten(m))
-        records.append(PrefixRecord(length=i, word=w[:i],
-                                    r_size=len(nonzero_columns(m)),
-                                    dimension=basis.dimension))
-    return PrefixTrace(records=tuple(records))
+    w, _, matrices = _walk(dfa, word)
+    return _trace(dfa.n, w, matrices)
 
 
 def maximum_matching(adjacency: Sequence[Sequence[int]], right_size: int) -> list[int | None]:
@@ -248,18 +250,19 @@ def _distinctive_columns(n: int, q: int) -> tuple[int, ...]:
     return tuple(c for c in range(n) if c != q and c != spare)
 
 
+def _column_verdicts(matrices: Sequence[RowMonomialMatrix], sink: int) -> tuple[PrefixColumnVerdict, ...]:
+    return tuple(PrefixColumnVerdict(length=i, holds=sink in nonzero_columns(m))
+                 for i, m in enumerate(matrices, start=1))
+
+
 def check_prefix_column(dfa: Dfa, word: Sequence[int], q: int | None = None) -> tuple[PrefixColumnVerdict, ...]:
     """For each nonempty prefix, whether its matrix keeps column q nonzero.
 
     The empty prefix is excluded by convention.  Verdicts are reported, not
     asserted; a False entry is a counterexample to the prefix-column claim.
     """
-    w = check_word(dfa, word)
-    sink = _resolve_sink(dfa, w, q)
-    out = []
-    for i, m in enumerate(_prefix_matrices(dfa, w), start=1):
-        out.append(PrefixColumnVerdict(length=i, holds=sink in nonzero_columns(m)))
-    return tuple(out)
+    _, sink, matrices = _walk(dfa, word, q)
+    return _column_verdicts(matrices, sink)
 
 
 def bound_check(dfa: Dfa, limit: int = EXACT_SEARCH_LIMIT, shortest: int | None = None) -> BoundVerdict:
@@ -299,14 +302,12 @@ def allocation_probe(dfa: Dfa, word: Sequence[int], q: int | None = None,
     error.  q defaults to the state the word actually synchronizes to.
     limit and shortest are passed to bound_check.
     """
-    w = check_word(dfa, word)
-    sink = _resolve_sink(dfa, w, q)
+    w, sink, matrices = _walk(dfa, word, q)
     n = dfa.n
     notes: list[str] = ["empty prefix excluded by convention"]
 
-    trace = prefix_trace(dfa, w)
+    trace = _trace(n, w, matrices)
     records = trace.records
-    matrices = _prefix_matrices(dfa, w)
 
     cell_columns = _distinctive_columns(n, sink) if n >= 2 else ()
     cell_limit = max(0, n * (n - 2))
@@ -315,14 +316,17 @@ def allocation_probe(dfa: Dfa, word: Sequence[int], q: int | None = None,
         notes.append(f"{len(collected)} prefixes with rank above one, keeping the first {cell_limit}")
         collected = collected[:cell_limit]
 
+    # Cells are listed column-major, so cell (r, c) sits at index
+    # cell_columns.index(c) * n + r, and a prefix's cells come in that order.
     cells = [(r, c) for c in cell_columns for r in range(n)]
-    cell_index = {cell: pos for pos, cell in enumerate(cells)}
+    starts = range(0, len(cells), n)
 
     order = sorted(range(len(collected)), key=lambda j: (-records[collected[j]].r_size, j))
     adjacency = []
     for j in order:
         image = nonzero_columns(matrices[collected[j]])
-        adjacency.append([cell_index[(r, c)] for (r, c) in cells if r not in image])
+        free = [r for r in range(n) if r not in image]
+        adjacency.append([start + r for start in starts for r in free])
     match_left = maximum_matching(adjacency, len(cells))
 
     assigned: dict[int, tuple[int, int]] = {}
@@ -374,7 +378,7 @@ def allocation_probe(dfa: Dfa, word: Sequence[int], q: int | None = None,
         if not independence_ok:
             notes.append("constructed family is linearly dependent")
 
-    verdicts = check_prefix_column(dfa, w, sink)
+    verdicts = _column_verdicts(matrices, sink)
     try:
         bound = bound_check(dfa, limit, shortest)
     except CapacityError:

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line front end."""
 
+import hashlib
 import json
 from collections import Counter
 
@@ -357,3 +358,23 @@ def test_enum_jobs_clamped_to_shards_and_cpus(capsys, monkeypatch):
     code, parallel = run_main(["enum", "--n", "2", "--k", "2", "--jobs", "8", "--json"], capsys)
     assert PoolRecorder.sizes == [2]
     assert json.loads(parallel)["report"] == json.loads(serial)["report"]
+
+
+# sha256 of json.dumps(report, sort_keys=True), recorded before the elimination
+# kernel moved to sparse rows; the prefix trace, the matching and the family
+# rank must all come out unchanged.
+@pytest.mark.parametrize("gen,verb,sha256", [
+    (["cerny", "--n", "9"], "probe",
+     "8c792a3ce67ce4bf814c354d81b95b7b2547afd9b7f450fa0cb8b2aed3a5d372"),
+    (["random", "--n", "14", "--k", "2", "--seed", "0"], "probe",
+     "a3bf31f4900bad95fd237277045ae84355b329f363a843745734b47cf8c766ce"),
+    (["cerny", "--n", "7"], "trace",
+     "b1850dffae6015fd32c80f7aeee62aefb0ec97d9c88a52507ed40dbd6b87dda8"),
+], ids=["probe-cerny9", "probe-random14", "trace-cerny7"])
+def test_report_documents_pinned(tmp_path, capsys, gen, verb, sha256):
+    path = str(tmp_path / "dfa.txt")
+    assert main(["gen", *gen, "-o", path]) == 0
+    code, out = run_main([verb, path, "--json"], capsys)
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == sha256

@@ -313,3 +313,34 @@ def test_insert_is_idempotent(n, data):
     assert basis_insert(basis, m)
     assert not basis_insert(basis, m)
     assert basis.dimension == 1
+
+
+# About 80% zeros, the rest in -3..3, like the few units of a flattened row
+# monomial matrix among its n*n slots but with room for cancellation.
+SPARSE_ENTRY = st.sampled_from((0,) * 24 + (-3, -2, -1, 1, 2, 3))
+
+
+@st.composite
+def sparse_rows(draw):
+    width = draw(st.integers(16, 49))
+    row = st.lists(SPARSE_ENTRY, min_size=width, max_size=width)
+    return width, draw(st.lists(row, min_size=1, max_size=40))
+
+
+@given(sparse_rows())
+@settings(max_examples=40, deadline=None)
+def test_sparse_basis_against_oracle(case):
+    width, rows = case
+    basis = RationalBasis(width)
+    grew_rows = []
+    before = 0
+    for i, row in enumerate(rows, start=1):
+        want = oracle_rank(rows[:i])
+        grew = basis.insert(row)
+        assert grew == (want > before)
+        assert basis.dimension == want
+        if grew:
+            grew_rows.append(tuple(row))
+        before = want
+    assert all(basis.contains(row) for row in rows)
+    assert basis.inserted_vectors == tuple(grew_rows)

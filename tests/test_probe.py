@@ -11,6 +11,7 @@ from rowsync.errors import DomainError
 from rowsync.probe import (allocation_probe, bound_check, check_prefix_column,
                            maximum_matching, prefix_trace)
 from rowsync.rowmon import matrix_of_word, multiply, rank
+from test_exactlin import oracle_rank
 
 
 def test_prefix_trace_cerny3_frozen():
@@ -197,3 +198,64 @@ def test_probe_all_synchronizing_three_state():
         ok += bool(rep.matching.success and rep.solutions_ok and rep.independence_ok)
     assert full == 549
     assert ok == 549
+
+
+def flattened_prefixes(dfa, word):
+    """Row-major 0/1 vectors of the nonempty prefix matrices, built here."""
+    n = dfa.n
+    out = []
+    targets = list(range(n))
+    for a in word:
+        targets = [dfa.delta[a][t] for t in targets]
+        vec = [0] * (n * n)
+        for i, t in enumerate(targets):
+            vec[i * n + t] = 1
+        out.append(vec)
+    return out
+
+
+def assert_trace_matches_oracle(dfa, word):
+    """Every prefix dimension of the trace equals oracle_rank of the prefix rows.
+
+    Calling the oracle on every prefix would repeat the elimination of the
+    first rows once per prefix, so this checks an equivalent statement with
+    one oracle call per prefix that does not raise the dimension, plus one.
+    The oracle rank of the first i rows rises by 0 or 1 per row, and by 1
+    exactly when row i lies outside the span of the rows before it, which is
+    the span of the rows before it that raised the rank.  So the trace's
+    dimensions are the oracle's at every prefix exactly when they start at
+    0 or 1 and rise by 0 or 1 per prefix, the rows where they rise are
+    independent, and each other row lies in the span of the rising rows
+    before it.
+    """
+    rows = flattened_prefixes(dfa, word)
+    dims = [r.dimension for r in prefix_trace(dfa, word).records]
+    assert len(dims) == len(rows)
+    steps = [b - a for a, b in zip([0] + dims, dims)]
+    assert set(steps) <= {0, 1}
+    rising = [row for row, step in zip(rows, steps) if step]
+    assert oracle_rank(rising) == len(rising)
+    for i, step in enumerate(steps):
+        if not step:
+            before = [row for row, s in zip(rows[:i], steps) if s]
+            assert oracle_rank(before + [rows[i]]) == len(before)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_prefix_trace_dimensions_against_oracle_cerny(n):
+    dfa = cerny_automaton(n)
+    assert_trace_matches_oracle(dfa, shortest_reset_word(dfa))
+
+
+def test_prefix_trace_dimensions_against_oracle_random():
+    checked = 0
+    for seed in range(200):
+        dfa = random_dfa(3 + seed % 10, 2 + seed % 2, seed=seed)
+        word = shortest_reset_word(dfa)
+        if word is None:
+            continue
+        assert_trace_matches_oracle(dfa, word)
+        checked += 1
+        if checked == 20:
+            break
+    assert checked == 20
