@@ -6,12 +6,11 @@ the allocation procedure behind the (n-1)^2 bound question.
 """
 
 from .automaton import (Dfa, Word, StateSet, apply_word, cerny_automaton, cerny_bound,
-                        check_word, conjugacy_classes, count_dfas, cubic_bound,
-                        dfa_from_table_index, enumerate_dfas, format_word, greedy_reset_word,
-                        is_strongly_connected, is_synchronizing, parse_word, random_dfa,
-                        read_dfa, read_dfa_text, shortest_reset_length, shortest_reset_word,
-                        to_dot, write_dfa, write_dfa_text, EXACT_SEARCH_LIMIT,
-                        DEFAULT_ENUM_BUDGET)
+                        check_word, conjugacy_classes, count_dfas, cubic_bound, format_word,
+                        greedy_reset_word, is_strongly_connected, is_synchronizing, parse_word,
+                        random_dfa, read_dfa, read_dfa_text, shortest_reset_length,
+                        shortest_reset_word, to_dot, write_dfa, write_dfa_text,
+                        EXACT_SEARCH_LIMIT, DEFAULT_ENUM_BUDGET)
 from .equation import (SolutionSpec, enumerate_solutions, is_solution, leq_q,
                        minimal_solution, sink_matrix, solution_spec)
 from .errors import (CapacityError, DomainError, InvalidWordError, ParseError,

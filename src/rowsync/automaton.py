@@ -11,10 +11,11 @@ search does not.
 from __future__ import annotations
 
 import random
+import re
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, islice, product
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations, product
+from typing import Iterable, Sequence
 
 from .errors import CapacityError, DomainError, InvalidWordError, ParseError
 
@@ -323,6 +324,9 @@ def cerny_automaton(n: int) -> Dfa:
 
 
 def count_dfas(n: int, k: int) -> int:
+    """n^(n*k), the number of complete transition tables with n states and k letters."""
+    if n < 1 or k < 1:
+        raise DomainError(f"need n >= 1 and k >= 1, got n = {n}, k = {k}")
     return n ** (n * k)
 
 
@@ -369,35 +373,6 @@ def conjugacy_classes(n: int) -> list[tuple[tuple[int, ...], int]]:
     return classes
 
 
-def enumerate_dfas(n: int, k: int, budget: int = DEFAULT_ENUM_BUDGET,
-                   start: int = 0, stop: int | None = None) -> Iterator[Dfa]:
-    """Complete transition tables in lexicographic order, letter-major.
-
-    Yields the tables whose index lies in [start, stop); stop defaults to
-    n^(n*k), so by default every table.  Index 0 is the all-zero table and
-    the last index sends everything to n-1.  budget caps the number of
-    tables one call yields.  No identification up to isomorphism.
-    """
-    if n < 1 or k < 1:
-        raise DomainError(f"need n >= 1 and k >= 1, got n = {n}, k = {k}")
-    total = count_dfas(n, k)
-    if stop is None:
-        stop = total
-    if not 0 <= start <= stop <= total:
-        raise DomainError(f"table index range [{start}, {stop}) outside [0, {total}]")
-    if stop - start > budget:
-        raise CapacityError(
-            f"enumerating {stop - start} tables exceeds the budget of {budget}; raise budget to proceed"
-        )
-    for flat in islice(product(range(n), repeat=n * k), start, stop):
-        yield Dfa(n=n, k=k, delta=tuple(flat[i * n:(i + 1) * n] for i in range(k)))
-
-
-def dfa_from_table_index(n: int, k: int, index: int) -> Dfa:
-    """The automaton with the given lexicographic index in enumerate_dfas."""
-    return next(enumerate_dfas(n, k, 1, index, index + 1))
-
-
 def random_dfa(n: int, k: int, seed: int) -> Dfa:
     """Uniform independent transitions; a fixed seed fixes the table."""
     rng = random.Random(seed)
@@ -414,18 +389,7 @@ def write_dfa_text(dfa: Dfa) -> str:
 
 
 def _tokens_with_columns(line: str) -> list[tuple[str, int]]:
-    out = []
-    i = 0
-    while i < len(line):
-        if line[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < len(line) and not line[j].isspace():
-            j += 1
-        out.append((line[i:j], i + 1))
-        i = j
-    return out
+    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
 
 
 def read_dfa_text(text: str) -> Dfa:
@@ -476,7 +440,11 @@ def read_dfa_text(text: str) -> Dfa:
 
 def read_dfa(path) -> Dfa:
     with open(path, "r", encoding="utf-8") as fh:
-        return read_dfa_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc}") from None
+    return read_dfa_text(text)
 
 
 def write_dfa(dfa: Dfa, path):

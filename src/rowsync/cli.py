@@ -301,6 +301,7 @@ def _enum_shard_stats(params: tuple[int, int, list[tuple[tuple[int, ...], int]],
 
 def _run_enum(config: RunConfig) -> RunResult:
     n, k = config.n, config.k
+    # count_dfas refuses n < 1 or k < 1, before the budget and the class listing.
     total = count_dfas(n, k)
     if total > config.budget:
         raise CapacityError(f"enumerating {total} tables exceeds the budget of {config.budget}; "
@@ -376,15 +377,15 @@ def main(argv=None) -> int:
     config = config_from_args(args)
     try:
         result = run(config)
+        text = render(result, config)
+        if config.output:
+            with open(config.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (RowsyncError, OSError) as exc:
         print(f"rowsync: error: {exc}", file=sys.stderr)
         return 1
-    text = render(result, config)
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return result.exit_code
 
 

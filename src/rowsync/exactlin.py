@@ -207,6 +207,24 @@ def common_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     return [c.numerator * (denominator // c.denominator) for c in coeffs], denominator
 
 
+def combine(numerators: Sequence[int], matrices: Sequence[RowMonomialMatrix], n: int) -> list[int]:
+    """Row-major n*n integer cells of sum_i numerators[i] * matrices[i].
+
+    Zero numerators are skipped; every other matrix adds its numerator to
+    the n cells that hold its units.
+    """
+    if len(numerators) != len(matrices):
+        raise DomainError(f"{len(numerators)} coefficients for {len(matrices)} matrices")
+    cells = [0] * (n * n)
+    for c, m in zip(numerators, matrices):
+        if m.n != n:
+            raise DomainError(f"size mismatch: {m.n} vs {n}")
+        if c:
+            for i, t in enumerate(m.targets):
+                cells[i * n + t] += c
+    return cells
+
+
 @dataclass(frozen=True)
 class SumConditionVerdict:
     """Outcome of the coefficient-sum check on an exact combination.
@@ -232,25 +250,17 @@ def check_sum_conditions(coeffs: Sequence[Fraction],
     assumed, so a violation would actually surface; the cells hold integer
     numerators over the coefficients' common denominator.
     """
-    if len(coeffs) != len(matrices):
-        raise DomainError(f"{len(coeffs)} coefficients for {len(matrices)} matrices")
-    if not matrices:
-        n = target.n if target is not None else 1
-    else:
+    if matrices:
         n = matrices[0].n
-        for m in matrices:
-            if m.n != n:
-                raise DomainError(f"size mismatch: {m.n} vs {n}")
-        if target is not None and target.n != n:
-            raise DomainError(f"target size {target.n} does not match {n}")
+    else:
+        n = target.n if target is not None else 1
+    if target is not None and target.n != n:
+        raise DomainError(f"target size {target.n} does not match {n}")
     expected = 0 if target is None else 1
     numerators, denominator = common_denominator(coeffs)
-    cells = [[0] * n for _ in range(n)]
-    for c, m in zip(numerators, matrices):
-        for i, t in enumerate(m.targets):
-            cells[i][t] += c
+    cells = combine(numerators, matrices, n)
     coefficient_sum = Fraction(sum(numerators), denominator)
-    row_sums = tuple(Fraction(sum(row), denominator) for row in cells)
+    row_sums = tuple(Fraction(sum(cells[i * n:(i + 1) * n]), denominator) for i in range(n))
     violations = []
     if coefficient_sum != expected:
         violations.append(f"coefficient sum {coefficient_sum} != {expected}")
@@ -302,13 +312,7 @@ def decompose_vij(t: RowMonomialMatrix, k: int) -> RationalCoefficients:
             coeffs[i * (k - 1) + tgt] = 1
             m_count += 1
     coeffs[-1] = -(m_count - 1)
-    combo = [0] * (n * n)
-    for c, b in zip(coeffs, vij_basis(n, k)):
-        if c:
-            for pos, v in enumerate(flatten(b)):
-                if v:
-                    combo[pos] += c
-    if tuple(combo) != flatten(t):
+    if tuple(combine(coeffs, vij_basis(n, k), n)) != flatten(t):
         raise DomainError("decomposition failed re-evaluation; input was not row monomial within k columns")
     return tuple(Fraction(c) for c in coeffs)
 

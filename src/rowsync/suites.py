@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .automaton import Dfa
 from .equation import enumerate_solutions, is_solution, leq_q, minimal_solution, solution_spec
-from .exactlin import (all_row_monomial, check_sum_conditions, common_column_span_dimension,
+from .exactlin import (all_row_monomial, check_sum_conditions, combine, common_column_span_dimension,
                        common_denominator, decompose_vij, express, flatten, matrix_rank,
                        sink_family_dimension, span_dimension, two_column_span_dimension, vij_basis,
                        RationalBasis)
@@ -126,13 +126,7 @@ def sum_conditions_suite(samples: int = DEFAULT_SAMPLES, seed: int = 1) -> Suite
             result.checks += 1
             continue
         numerators, denominator = common_denominator(coeffs)
-        combo = [0] * (n * n)
-        for c, m in zip(numerators, family):
-            if c:
-                for pos, v in enumerate(flatten(m)):
-                    if v:
-                        combo[pos] += c
-        if combo != [denominator * v for v in flatten(target)]:
+        if combine(numerators, family, n) != [denominator * v for v in flatten(target)]:
             result.violations.append(f"{tag}: expressed combination does not reproduce target")
         if idx % 2 == 0:
             verdict = check_sum_conditions(coeffs, family, target)

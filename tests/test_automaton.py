@@ -16,8 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rowsync.automaton import (Dfa, apply_word, cerny_automaton, cerny_bound, conjugacy_classes,
-                               count_dfas, cubic_bound, dfa_from_table_index, enumerate_dfas,
-                               format_word, greedy_reset_word, is_strongly_connected,
+                               cubic_bound, format_word, greedy_reset_word, is_strongly_connected,
                                is_synchronizing, parse_word, random_dfa, read_dfa_text,
                                shortest_reset_length, shortest_reset_word, to_dot, write_dfa_text)
 from rowsync.cli import RunConfig, run
@@ -25,6 +24,12 @@ from rowsync.errors import CapacityError, DomainError, InvalidWordError, ParseEr
 
 # Frozen oracle values, reproduced by brute_force_shortest below.
 CERNY_WORDS = {2: "b", 3: "baab", 4: "baaabaaab"}
+
+
+def all_tables(n, k):
+    """Every n-state k-letter table, letter-major in lexicographic order: the raw sweep."""
+    for flat in product(range(n), repeat=n * k):
+        yield Dfa(n, k, tuple(flat[a * n:(a + 1) * n] for a in range(k)))
 
 
 def brute_force_shortest(dfa, max_len):
@@ -129,18 +134,17 @@ def test_shortest_word_synchronizes_and_is_minimal():
 
 def test_shortest_against_brute_force_exhaustive_n2():
     for k in (1, 2):
-        for d in enumerate_dfas(2, k):
+        for d in all_tables(2, k):
             expected = brute_force_shortest(d, 4)
             got = shortest_reset_word(d)
             assert got == expected
 
 
 def test_shortest_against_brute_force_exhaustive_n3():
-    for index in range(count_dfas(3, 2)):
-        d = dfa_from_table_index(3, 2, index)
+    for d in all_tables(3, 2):
         expected = brute_force_shortest(d, 4)
         got = shortest_reset_word(d)
-        assert got == expected, f"table {index}"
+        assert got == expected, d.delta
 
 
 def frozenset_bfs_shortest(dfa):
@@ -186,7 +190,7 @@ def test_shortest_against_frozenset_bfs_at_chunk_edges(n, k):
 
 
 def test_pair_criterion_agrees_with_subset_search():
-    for d in enumerate_dfas(3, 2):
+    for d in all_tables(3, 2):
         assert is_synchronizing(d) == (shortest_reset_length(d) is not None)
 
 
@@ -237,24 +241,6 @@ def test_bounds():
     assert cubic_bound(4) == 10
 
 
-def test_enumerate_counts_and_order():
-    tables = list(enumerate_dfas(2, 1))
-    assert len(tables) == 4
-    assert tables[0].delta == ((0, 0),)
-    assert tables[-1].delta == ((1, 1),)
-    assert sum(1 for _ in enumerate_dfas(3, 2)) == 729
-    with pytest.raises(CapacityError) as err:
-        next(enumerate_dfas(5, 2))
-    assert "budget" in str(err.value)
-
-
-def test_table_index_matches_enumeration():
-    for index, d in enumerate(enumerate_dfas(2, 2)):
-        assert dfa_from_table_index(2, 2, index) == d
-    with pytest.raises(DomainError):
-        dfa_from_table_index(2, 2, 16)
-
-
 def brute_force_classes(n):
     """(least member, size) of every class {s f s^-1 : s in S_n}, by trying every s."""
     covered = set()
@@ -288,7 +274,7 @@ def test_conjugacy_classes():
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
 def test_enum_weighted_by_class_matches_raw_sweep(n, k):
     hist = Counter()
-    for d in enumerate_dfas(n, k):
+    for d in all_tables(n, k):
         word = frozenset_bfs_shortest(d)
         if word is not None:
             hist[len(word)] += 1

@@ -6,8 +6,9 @@ from collections import Counter
 
 import pytest
 
-from rowsync.automaton import conjugacy_classes
+from rowsync.automaton import conjugacy_classes, read_dfa
 from rowsync.cli import RunConfig, _enum_shard_stats, build_parser, config_from_args, main, run
+from rowsync.errors import ParseError
 
 CERNY3_TEXT = "3 2\n1 2 0\n1 1 2\n"
 
@@ -249,6 +250,35 @@ def test_enum_budget_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(rowsync.cli, "conjugacy_classes", refuse)
     assert main(["enum", "--n", "4", "--k", "3"]) == 1
     assert "exceeds the budget of 1000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n,k", [(3, 0), (3, -1), (-1, 3)])
+def test_enum_rejects_non_positive_sizes(capsys, monkeypatch, n, k):
+    import rowsync.cli
+
+    def refuse(n):
+        raise AssertionError("conjugacy classes listed before the size check")
+
+    # --budget 0 would refuse any table count, so only the size check may answer.
+    monkeypatch.setattr(rowsync.cli, "conjugacy_classes", refuse)
+    assert main(["enum", "--n", str(n), "--k", str(k), "--budget", "0"]) == 1
+    assert f"rowsync: error: need n >= 1 and k >= 1, got n = {n}, k = {k}" in capsys.readouterr().err
+
+
+def test_unwritable_output_exits_one(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.txt"
+    assert main(["gen", "cerny", "--n", "3", "-o", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("rowsync: error: ")
+    assert not path.exists()
+
+
+def test_undecodable_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"3 2\n1 2 0\n1 1 2 # \xe9\n")
+    with pytest.raises(ParseError, match="UTF-8"):
+        read_dfa(str(path))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("rowsync: error: not UTF-8 text")
 
 
 def test_gen_random_reproducible(capsys):

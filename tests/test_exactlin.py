@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from rowsync.errors import DomainError
 from rowsync.exactlin import (RationalBasis, all_row_monomial, basis_insert,
-                              check_sum_conditions, common_column_span_dimension,
+                              check_sum_conditions, combine, common_column_span_dimension,
                               decompose_vij, express, express_vectors, flatten, matrix_rank,
                               rank_of_vectors, sink_family_dimension, span_dimension,
                               two_column_span_dimension, vij_basis)
@@ -189,6 +189,32 @@ def test_express_sets_free_variables_to_zero():
 def test_express_size_mismatch():
     with pytest.raises(DomainError):
         express(identity(3), [identity(2)])
+
+
+def dense_sum(numerators, matrices, n):
+    """Sum of c * M over dense n x n grids, every cell multiplied out."""
+    total = [[0] * n for _ in range(n)]
+    for c, m in zip(numerators, matrices):
+        for i, row in enumerate(dense_rows(m)):
+            for j, v in enumerate(row):
+                total[i][j] += c * v
+    return [x for row in total for x in row]
+
+
+def test_combine_against_dense_sum():
+    rng = random.Random(12)
+    for n in range(1, 7):
+        for _ in range(40):
+            count = rng.randint(0, 8)
+            matrices = [RowMonomialMatrix(n, tuple(rng.randrange(n) for _ in range(n)))
+                        for _ in range(count)]
+            numerators = [rng.choice((0, rng.randint(-9, 9), -rng.randint(1, 9)))
+                          for _ in range(count)]
+            assert combine(numerators, matrices, n) == dense_sum(numerators, matrices, n)
+    with pytest.raises(DomainError):
+        combine([1], [identity(2)], 3)
+    with pytest.raises(DomainError):
+        combine([1, 2], [identity(3)], 3)
 
 
 def test_sum_conditions_good_and_bad():
