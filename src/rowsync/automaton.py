@@ -15,12 +15,11 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import CapacityError, DomainError, InvalidWordError, ParseError
 
 Word = tuple[int, ...]
-StateSet = frozenset[int]
 
 EXACT_SEARCH_LIMIT = 24
 DEFAULT_ENUM_BUDGET = 1_000_000
@@ -57,16 +56,6 @@ class Dfa:
             for q, t in enumerate(row):
                 if not isinstance(t, int) or not 0 <= t < n:
                     raise DomainError(f"delta[{a}][{q}] = {t!r} outside [0, {n})")
-
-    def step(self, state: int, letter: int) -> int:
-        return self.delta[letter][state]
-
-    @property
-    def states(self) -> range:
-        return range(self.n)
-
-    def full_set(self) -> StateSet:
-        return frozenset(range(self.n))
 
 
 def check_word(dfa: Dfa, word: Sequence[int]) -> Word:
@@ -108,19 +97,6 @@ def parse_word(text: str, k: int) -> Word:
             name = format_word((a,), k) if 0 <= a < len(_ALPHA) else a
             raise InvalidWordError(f"letter {name} outside alphabet of size {k}")
     return letters
-
-
-def apply_word(dfa: Dfa, states: Iterable[int], word: Sequence[int]) -> StateSet:
-    """Image of a state set under a word.  The empty word is the identity."""
-    w = check_word(dfa, word)
-    current = frozenset(states)
-    for q in current:
-        if not 0 <= q < dfa.n:
-            raise DomainError(f"state {q} outside [0, {dfa.n})")
-    for a in w:
-        row = dfa.delta[a]
-        current = frozenset(row[q] for q in current)
-    return current
 
 
 def _search(dfa: Dfa, limit: int) -> Word | None:
@@ -393,13 +369,12 @@ def _tokens_with_columns(line: str) -> list[tuple[str, int]]:
 
 
 def read_dfa_text(text: str) -> Dfa:
-    """Parse the serialized form.  Blank lines and '#' comments are skipped."""
+    """Parse the serialized form.  '#' starts a comment; blank lines are skipped."""
     significant: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        significant.append((lineno, raw))
+        line = raw.split("#", 1)[0]
+        if line.strip():
+            significant.append((lineno, line))
     if not significant:
         raise ParseError("empty input, expected a header line 'n k'")
     head_no, head = significant[0]
@@ -439,7 +414,7 @@ def read_dfa_text(text: str) -> Dfa:
 
 
 def read_dfa(path) -> Dfa:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

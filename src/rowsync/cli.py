@@ -19,7 +19,7 @@ from multiprocessing import Pool
 
 from .automaton import (DEFAULT_ENUM_BUDGET, EXACT_SEARCH_LIMIT, Dfa, cerny_automaton,
                         cerny_bound, conjugacy_classes, count_dfas, cubic_bound, format_word,
-                        greedy_reset_word, is_strongly_connected, is_synchronizing, parse_word,
+                        greedy_reset_word, is_strongly_connected, parse_word,
                         random_dfa, read_dfa, shortest_reset_length, shortest_reset_word, to_dot,
                         write_dfa_text)
 from .errors import CapacityError, RowsyncError
@@ -154,7 +154,8 @@ def _word_or_shortest(config: RunConfig, dfa: Dfa):
 
 def _run_check(config: RunConfig) -> RunResult:
     dfa = _load(config)
-    sync = is_synchronizing(dfa)
+    greedy = greedy_reset_word(dfa)
+    sync = greedy is not None
     strong = is_strongly_connected(dfa)
     bound = cerny_bound(dfa.n)
     shortest = None
@@ -164,7 +165,6 @@ def _run_check(config: RunConfig) -> RunResult:
             shortest = shortest_reset_word(dfa, config.limit)
         except CapacityError as exc:
             note = str(exc)
-    greedy = greedy_reset_word(dfa)
     report = {
         "n": dfa.n, "k": dfa.k,
         "strongly_connected": strong,

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .errors import CapacityError, DomainError, PolicyError
+from .errors import CapacityError, DomainError
 from .rowmon import RowMonomialMatrix, column_rows, multiply, nonzero_columns
 
 DEFAULT_SOLUTION_BUDGET = 1_000_000
@@ -78,26 +78,17 @@ def is_solution(m_u: RowMonomialMatrix, sol: RowMonomialMatrix, q: int = 0) -> b
     return multiply(m_u, sol) == sink_matrix(m_u.n, q)
 
 
-def minimal_solution(m_u: RowMonomialMatrix, q: int = 0,
-                     free_policy: Callable[[int], int] | None = None) -> RowMonomialMatrix:
+def minimal_solution(m_u: RowMonomialMatrix, q: int = 0) -> RowMonomialMatrix:
     """The least solution under leq_q: only the forced rows point at q.
 
-    Free rows take the lowest column other than q, unless free_policy maps
-    the row index to a column itself.  A policy that answers q (or an
-    out-of-range column) defeats minimality and raises PolicyError.
+    Free rows take the lowest column other than q.  A free row exists only
+    when the image set misses a state, so n >= 2 and that column exists.
     """
     spec = solution_spec(m_u, q)
-    if spec.free_rows and spec.n == 1:
-        raise DomainError("no column other than q exists for free rows")
-    default_col = 0 if q != 0 else 1 if spec.n > 1 else 0
+    other = 1 if q == 0 else 0
     targets = [q] * spec.n
     for row in spec.free_rows:
-        col = free_policy(row) if free_policy is not None else default_col
-        if not 0 <= col < spec.n:
-            raise PolicyError(f"policy sent row {row} to column {col}, outside [0, {spec.n})")
-        if col == q:
-            raise PolicyError(f"policy sent free row {row} to column {q}, the sink column itself")
-        targets[row] = col
+        targets[row] = other
     return RowMonomialMatrix(n=spec.n, targets=tuple(targets))
 
 

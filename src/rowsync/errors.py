@@ -26,10 +26,6 @@ class CapacityError(RowsyncError, RuntimeError):
     """
 
 
-class PolicyError(DomainError):
-    """A placement policy produced a column that breaks the requested shape."""
-
-
 class ParseError(RowsyncError, ValueError):
     """Malformed automaton text.  Carries the offending line and column."""
 

@@ -65,10 +65,9 @@ class RationalBasis:
     """Incrementally maintained exact basis of integer vectors.
 
     Keeps an integer echelon, one sparse row per pivot position with the
-    pivots in a sorted list, plus the list of inserted vectors that actually
-    grew the span, in insertion order.  A single writer may interleave
-    insert with dimension and membership queries; instances are not safe for
-    concurrent mutation.
+    pivots in a sorted list.  A single writer may interleave insert with
+    dimension and membership queries; instances are not safe for concurrent
+    mutation.
     """
 
     def __init__(self, ambient: int):
@@ -77,16 +76,10 @@ class RationalBasis:
         self.ambient = ambient
         self._pivots: list[int] = []
         self._rows: dict[int, Row] = {}
-        self._inserted: list[Vector] = []
 
     @property
     def dimension(self) -> int:
         return len(self._pivots)
-
-    @property
-    def inserted_vectors(self) -> tuple[Vector, ...]:
-        """The vectors that enlarged the span, in the order they arrived."""
-        return tuple(self._inserted)
 
     def _residue(self, vec: Sequence[int]) -> Row:
         if len(vec) != self.ambient:
@@ -108,34 +101,18 @@ class RationalBasis:
         pivot = min(residue)
         insort(self._pivots, pivot)
         self._rows[pivot] = residue
-        self._inserted.append(tuple(vec))
         return True
 
     def contains(self, vec: Sequence[int]) -> bool:
         return not self._residue(vec)
 
-    def serialize(self) -> list[list[int]]:
-        """Ordered list of the stored flattened vectors."""
-        return [list(v) for v in self._inserted]
-
-
-def basis_insert(basis: RationalBasis, m: RowMonomialMatrix) -> bool:
-    """Insert a matrix into a basis of flattened matrices; True iff span grew."""
-    if basis.ambient != m.n * m.n:
-        raise DomainError(f"basis ambient {basis.ambient} does not fit a {m.n}x{m.n} matrix")
-    return basis.insert(flatten(m))
-
-
-def rank_of_vectors(vectors: Iterable[Sequence[int]], ambient: int) -> int:
-    basis = RationalBasis(ambient)
-    for v in vectors:
-        basis.insert(v)
-    return basis.dimension
-
 
 def matrix_rank(m: RowMonomialMatrix) -> int:
     """Exact rank of the n x n grid, by elimination over its rows."""
-    return rank_of_vectors((m.row(i) for i in range(m.n)), m.n)
+    basis = RationalBasis(m.n)
+    for i in range(m.n):
+        basis.insert(m.row(i))
+    return basis.dimension
 
 
 def span_dimension(matrices: Iterable[RowMonomialMatrix]) -> int:
@@ -144,7 +121,7 @@ def span_dimension(matrices: Iterable[RowMonomialMatrix]) -> int:
     for m in matrices:
         if basis is None:
             basis = RationalBasis(m.n * m.n)
-        basis_insert(basis, m)
+        basis.insert(flatten(m))
     return 0 if basis is None else basis.dimension
 
 

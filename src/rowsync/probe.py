@@ -19,12 +19,12 @@ from .automaton import (Dfa, Word, cerny_bound, check_word, format_word,
 from .equation import is_solution, sink_matrix
 from .errors import CapacityError, DomainError
 from .exactlin import RationalBasis, flatten
-from .rowmon import RowMonomialMatrix, matrix_of_word, multiply, nonzero_columns
+from .rowmon import RowMonomialMatrix, nonzero_columns
 
 __all__ = [
     "PrefixRecord", "PrefixTrace", "prefix_trace", "maximum_matching",
     "MatchingReport", "PrefixColumnVerdict", "BoundVerdict", "ProbeReport",
-    "allocation_probe", "check_prefix_column", "bound_check",
+    "allocation_probe", "bound_check",
 ]
 
 
@@ -251,18 +251,13 @@ def _distinctive_columns(n: int, q: int) -> tuple[int, ...]:
 
 
 def _column_verdicts(matrices: Sequence[RowMonomialMatrix], sink: int) -> tuple[PrefixColumnVerdict, ...]:
+    """Whether each nonempty prefix matrix keeps column sink nonzero.
+
+    Verdicts are reported, not asserted; a False entry is a counterexample
+    to the prefix-column claim.
+    """
     return tuple(PrefixColumnVerdict(length=i, holds=sink in nonzero_columns(m))
                  for i, m in enumerate(matrices, start=1))
-
-
-def check_prefix_column(dfa: Dfa, word: Sequence[int], q: int | None = None) -> tuple[PrefixColumnVerdict, ...]:
-    """For each nonempty prefix, whether its matrix keeps column q nonzero.
-
-    The empty prefix is excluded by convention.  Verdicts are reported, not
-    asserted; a False entry is a counterexample to the prefix-column claim.
-    """
-    _, sink, matrices = _walk(dfa, word, q)
-    return _column_verdicts(matrices, sink)
 
 
 def bound_check(dfa: Dfa, limit: int = EXACT_SEARCH_LIMIT, shortest: int | None = None) -> BoundVerdict:

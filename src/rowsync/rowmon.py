@@ -36,12 +36,6 @@ class RowMonomialMatrix:
             if not isinstance(t, int) or not 0 <= t < self.n:
                 raise DomainError(f"targets[{i}] = {t!r} outside [0, {self.n})")
 
-    def __matmul__(self, other: "RowMonomialMatrix") -> "RowMonomialMatrix":
-        return multiply(self, other)
-
-    def entry(self, i: int, j: int) -> int:
-        return 1 if self.targets[i] == j else 0
-
     def row(self, i: int) -> tuple[int, ...]:
         out = [0] * self.n
         out[self.targets[i]] = 1

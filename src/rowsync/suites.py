@@ -17,8 +17,7 @@ from .automaton import Dfa
 from .equation import enumerate_solutions, is_solution, leq_q, minimal_solution, solution_spec
 from .exactlin import (all_row_monomial, check_sum_conditions, combine, common_column_span_dimension,
                        common_denominator, decompose_vij, express, flatten, matrix_rank,
-                       sink_family_dimension, span_dimension, two_column_span_dimension, vij_basis,
-                       RationalBasis)
+                       sink_family_dimension, span_dimension, two_column_span_dimension, vij_basis)
 from .rowmon import (RowMonomialMatrix, column_rows, column_unit_counts, is_permutation,
                      matrix_of_word, multiply, nonzero_columns, rank)
 

@@ -1,10 +1,11 @@
-"""Automaton construction, word actions, and reset-word search.
+"""Automaton construction, reset-word search and the text format.
 
 The expensive searches are checked against two oracles that know nothing
 about subset encodings: a brute force that tries every word in length order,
-and a breadth-first search over frozensets.  The enumeration up to state
-relabelling is checked against a brute force over all permutations and
-against a raw sweep of every table.
+and a breadth-first search over frozensets.  Found words are checked with a
+plain frozenset walk, image, which test_rowmon also uses as its oracle.  The
+enumeration up to state relabelling is checked against a brute force over
+all permutations and against a raw sweep of every table.
 """
 
 import random
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rowsync.automaton import (Dfa, apply_word, cerny_automaton, cerny_bound, conjugacy_classes,
+from rowsync.automaton import (Dfa, cerny_automaton, cerny_bound, conjugacy_classes,
                                cubic_bound, format_word, greedy_reset_word, is_strongly_connected,
                                is_synchronizing, parse_word, random_dfa, read_dfa_text,
                                shortest_reset_length, shortest_reset_word, to_dot, write_dfa_text)
@@ -30,6 +31,14 @@ def all_tables(n, k):
     """Every n-state k-letter table, letter-major in lexicographic order: the raw sweep."""
     for flat in product(range(n), repeat=n * k):
         yield Dfa(n, k, tuple(flat[a * n:(a + 1) * n] for a in range(k)))
+
+
+def image(dfa, states, word):
+    """Image of a state set under a word, one frozenset per letter."""
+    current = frozenset(states)
+    for a in word:
+        current = frozenset(dfa.delta[a][q] for q in current)
+    return current
 
 
 def brute_force_shortest(dfa, max_len):
@@ -58,7 +67,6 @@ def test_dfa_validation():
         Dfa(2, 2, ((0, 1),))
     d = Dfa(2, 1, [[1, 0]])
     assert d.delta == ((1, 0),)
-    assert d.step(0, 0) == 1
     d = Dfa(2, 2, [[True, False], (0, 1)])
     assert d.delta == ((1, 0), (0, 1)) and d.delta[0][0] is True
 
@@ -78,17 +86,6 @@ def test_dfa_validation_messages(n, k, delta, message):
     with pytest.raises(DomainError) as err:
         Dfa(n, k, delta)
     assert str(err.value) == message
-
-
-def test_apply_word_basics():
-    d = cerny_automaton(4)
-    assert apply_word(d, range(4), ()) == frozenset(range(4))
-    assert apply_word(d, range(4), (1,)) == frozenset({1, 2, 3})
-    assert apply_word(d, {2}, (0, 0)) == frozenset({0})
-    with pytest.raises(InvalidWordError):
-        apply_word(d, range(4), (2,))
-    with pytest.raises(DomainError):
-        apply_word(d, {5}, ())
 
 
 def test_word_rendering_round_trip():
@@ -128,7 +125,7 @@ def test_shortest_word_synchronizes_and_is_minimal():
     for n in (3, 4):
         d = cerny_automaton(n)
         w = shortest_reset_word(d)
-        assert len(apply_word(d, range(n), w)) == 1
+        assert len(image(d, range(n), w)) == 1
         assert brute_force_shortest(d, len(w)) == w
 
 
@@ -215,7 +212,7 @@ def test_exact_search_capacity():
 def test_greedy_reset_word():
     d = cerny_automaton(4)
     w = greedy_reset_word(d)
-    assert len(apply_word(d, range(4), w)) == 1
+    assert len(image(d, range(4), w)) == 1
     assert len(w) >= cerny_bound(4)
     assert greedy_reset_word(d) == w
     flip = Dfa(2, 1, ((1, 0),))
@@ -227,7 +224,7 @@ def test_greedy_beyond_exact_limit():
     d = cerny_automaton(30)
     w = greedy_reset_word(d)
     assert w is not None
-    assert len(apply_word(d, range(30), w)) == 1
+    assert len(image(d, range(30), w)) == 1
 
 
 def test_strong_connectivity():
@@ -307,6 +304,10 @@ def test_text_format_frozen():
 def test_parse_accepts_comments_and_blank_lines():
     text = "# generated\n\n3 2\n1 2 0\n\n1 1 2\n"
     assert read_dfa_text(text) == cerny_automaton(3)
+    assert read_dfa_text("3 2  # states letters\n1 2 0 # a\n   # b next\n1 1 2#b\n") == cerny_automaton(3)
+    with pytest.raises(ParseError) as err:
+        read_dfa_text("3 2\n1 x 0  # a\n1 1 2\n")
+    assert (err.value.line, err.value.column) == (2, 3)
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -385,16 +386,6 @@ def dfas(draw, max_n=6, max_k=3):
     k = draw(st.integers(1, max_k))
     delta = tuple(tuple(draw(st.integers(0, n - 1)) for _ in range(n)) for _ in range(k))
     return Dfa(n=n, k=k, delta=delta)
-
-
-@given(data=st.data(), dfa=dfas())
-@settings(max_examples=200, deadline=None)
-def test_word_action_composes(data, dfa):
-    u = tuple(data.draw(st.lists(st.integers(0, dfa.k - 1), max_size=8)))
-    v = tuple(data.draw(st.lists(st.integers(0, dfa.k - 1), max_size=8)))
-    subset = frozenset(data.draw(st.sets(st.integers(0, dfa.n - 1))))
-    assert apply_word(dfa, subset, u + v) == apply_word(dfa, apply_word(dfa, subset, u), v)
-    assert len(apply_word(dfa, subset, u)) <= len(subset)
 
 
 @given(dfa=dfas())

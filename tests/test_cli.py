@@ -3,10 +3,12 @@
 import hashlib
 import json
 from collections import Counter
+from itertools import permutations, product
 
 import pytest
 
-from rowsync.automaton import conjugacy_classes, read_dfa
+from rowsync.automaton import (Dfa, cerny_automaton, conjugacy_classes, is_synchronizing, read_dfa,
+                               write_dfa)
 from rowsync.cli import RunConfig, _enum_shard_stats, build_parser, config_from_args, main, run
 from rowsync.errors import ParseError
 
@@ -67,6 +69,23 @@ def test_check_not_synchronizing(tmp_path, capsys):
     report = json.loads(out)["report"]
     assert report["synchronizing"] is False
     assert report["shortest_word"] is None and report["greedy_word"] is None
+
+
+def test_check_synchronizing_matches_pair_criterion(tmp_path):
+    cases = [Dfa(2, 2, (flat[:2], flat[2:])) for flat in product(range(2), repeat=4)]
+    groups = [Dfa(3, 2, (p, r)) for p in permutations(range(3)) for r in permutations(range(3))]
+    cases += groups + [Dfa(3, 2, ((0, 0, 2), (1, 0, 2))), Dfa(3, 2, ((1, 0, 1), (1, 0, 0)))]
+    cases += [Dfa(1, 1, ((0,),)), cerny_automaton(30)]
+    for i, dfa in enumerate(cases):
+        path = tmp_path / f"{i}.txt"
+        write_dfa(dfa, path)
+        report = run(RunConfig(command="check", path=str(path))).document["report"]
+        assert report["synchronizing"] == is_synchronizing(dfa), dfa.delta
+        if dfa in groups:
+            assert report["synchronizing"] is False
+    # The last case, C_30, is above the default --limit: no exact word, still a greedy one.
+    assert report["synchronizing"] and report["shortest_word"] is None
+    assert "exact subset search" in report["note"] and report["greedy_length"] is not None
 
 
 def test_check_respects_limit(cerny3_path, capsys):
@@ -279,6 +298,18 @@ def test_undecodable_file_exits_one(tmp_path, capsys):
         read_dfa(str(path))
     assert main(["check", str(path)]) == 1
     assert capsys.readouterr().err.startswith("rowsync: error: not UTF-8 text")
+
+
+def test_byte_order_mark_is_accepted(tmp_path, capsys):
+    text = "4 2\n1 2 3 0\n1 1 2 3\n"
+    reports = []
+    for name, data in (("plain.txt", text.encode()), ("bom.txt", b"\xef\xbb\xbf" + text.encode())):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, out = run_main(["check", str(path), "--json"], capsys)
+        assert code == 0
+        reports.append(json.loads(out)["report"])
+    assert reports[0] == reports[1]
 
 
 def test_gen_random_reproducible(capsys):

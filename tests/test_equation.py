@@ -7,7 +7,7 @@ import pytest
 from rowsync.automaton import Dfa, cerny_automaton, shortest_reset_word
 from rowsync.equation import (DEFAULT_SOLUTION_BUDGET, enumerate_solutions, is_solution,
                               leq_q, minimal_solution, sink_matrix, solution_spec)
-from rowsync.errors import CapacityError, DomainError, PolicyError
+from rowsync.errors import CapacityError, DomainError
 from rowsync.rowmon import RowMonomialMatrix, matrix_of_word, multiply
 
 
@@ -96,16 +96,6 @@ def test_minimal_solution_frozen():
     m = RowMonomialMatrix(4, (1, 1, 1, 1))
     assert minimal_solution(m, 0).targets == (1, 0, 1, 1)
     assert minimal_solution(m, 2).targets == (0, 2, 0, 0)
-
-
-def test_minimal_solution_policy():
-    m = RowMonomialMatrix(4, (1, 1, 1, 1))
-    sol = minimal_solution(m, 0, free_policy=lambda row: 3)
-    assert sol.targets == (3, 0, 3, 3)
-    with pytest.raises(PolicyError):
-        minimal_solution(m, 0, free_policy=lambda row: 0)
-    with pytest.raises(PolicyError):
-        minimal_solution(m, 0, free_policy=lambda row: 9)
 
 
 def test_minimal_solution_is_minimal_in_order():

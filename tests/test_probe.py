@@ -8,8 +8,7 @@ from rowsync.automaton import (Dfa, cerny_automaton, greedy_reset_word, random_d
                                shortest_reset_word)
 from rowsync.equation import is_solution
 from rowsync.errors import DomainError
-from rowsync.probe import (allocation_probe, bound_check, check_prefix_column,
-                           maximum_matching, prefix_trace)
+from rowsync.probe import allocation_probe, bound_check, maximum_matching, prefix_trace
 from rowsync.rowmon import matrix_of_word, multiply, rank
 from test_exactlin import oracle_rank
 
@@ -107,15 +106,6 @@ def test_prefix_column_counterexample_counts():
         counts.append(sum(1 for v in rep.prefix_column_verdicts if not v.holds))
         assert rep.matching.success and rep.independence_ok
     assert counts == [1, 3, 6, 10]
-
-
-def test_check_prefix_column_q_handling():
-    c3 = cerny_automaton(3)
-    word = shortest_reset_word(c3)
-    verdicts = check_prefix_column(c3, word)
-    assert verdicts == check_prefix_column(c3, word, q=1)
-    with pytest.raises(DomainError):
-        check_prefix_column(c3, word, q=0)
 
 
 def test_allocation_probe_q_override():
