@@ -25,7 +25,6 @@ EXACT_SEARCH_LIMIT = 24
 DEFAULT_ENUM_BUDGET = 1_000_000
 
 _ALPHA = "abcdefghijklmnopqrstuvwxyz"
-_INT_ONLY = {int}
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,10 +48,6 @@ class Dfa:
         for a, row in enumerate(delta):
             if len(row) != n:
                 raise DomainError(f"delta row {a} needs {n} entries, got {len(row)}")
-            # One pass per row for the common case of plain ints in range; any
-            # other row (bools, floats, bad targets) gets the per-entry check.
-            if set(map(type, row)) == _INT_ONLY and min(row) >= 0 and max(row) < n:
-                continue
             for q, t in enumerate(row):
                 if not isinstance(t, int) or not 0 <= t < n:
                     raise DomainError(f"delta[{a}][{q}] = {t!r} outside [0, {n})")
@@ -213,8 +208,6 @@ def _pair_merge_table(dfa: Dfa) -> tuple[dict[tuple[int, int], int], dict[tuple[
 
 def is_synchronizing(dfa: Dfa) -> bool:
     """Polynomial test: the automaton synchronizes iff every state pair merges."""
-    if dfa.n == 1:
-        return True
     dist, _ = _pair_merge_table(dfa)
     return len(dist) == dfa.n * (dfa.n - 1) // 2
 
@@ -227,8 +220,6 @@ def greedy_reset_word(dfa: Dfa) -> Word | None:
     the word shortest_reset_word returns.
     """
     n = dfa.n
-    if n == 1:
-        return ()
     dist, letter = _pair_merge_table(dfa)
     if len(dist) < n * (n - 1) // 2:
         return None
@@ -246,34 +237,28 @@ def greedy_reset_word(dfa: Dfa) -> Word | None:
 
 
 def is_strongly_connected(dfa: Dfa) -> bool:
-    """True iff the union digraph of all letters is strongly connected."""
+    """True iff the union digraph of all letters is strongly connected.
+
+    That is, state 0 reaches every state along the edges and along the
+    reversed edges.
+    """
     n = dfa.n
-    if n == 1:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        q = stack.pop()
-        for row in dfa.delta:
-            t = row[q]
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    if len(seen) < n:
-        return False
-    rev: list[list[int]] = [[] for _ in range(n)]
+    successors = list(zip(*dfa.delta))
+    predecessors: list[list[int]] = [[] for _ in range(n)]
     for row in dfa.delta:
         for q, t in enumerate(row):
-            rev[t].append(q)
-    seen = {0}
-    stack = [0]
-    while stack:
-        q = stack.pop()
-        for s in rev[q]:
-            if s not in seen:
-                seen.add(s)
-                stack.append(s)
-    return len(seen) == n
+            predecessors[t].append(q)
+    for edges in (successors, predecessors):
+        seen = {0}
+        stack = [0]
+        while stack:
+            for t in edges[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        if len(seen) < n:
+            return False
+    return True
 
 
 def cerny_bound(n: int) -> int:
@@ -371,7 +356,9 @@ def _tokens_with_columns(line: str) -> list[tuple[str, int]]:
 def read_dfa_text(text: str) -> Dfa:
     """Parse the serialized form.  '#' starts a comment; blank lines are skipped."""
     significant: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    # Only the line ends universal newlines translate; str.splitlines would
+    # also break at form feed, '\x85', '\u2028' and others.
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), 1):
         line = raw.split("#", 1)[0]
         if line.strip():
             significant.append((lineno, line))
@@ -427,10 +414,6 @@ def write_dfa(dfa: Dfa, path):
         fh.write(write_dfa_text(dfa))
 
 
-def _letter_name(a: int, k: int) -> str:
-    return _ALPHA[a] if k <= len(_ALPHA) else str(a)
-
-
 def to_dot(dfa: Dfa, name: str = "automaton") -> str:
     """GraphViz rendering; parallel edges are folded into one labeled edge."""
     lines = [f'digraph "{name}" {{', "  rankdir=LR;", "  node [shape=circle];"]
@@ -441,7 +424,7 @@ def to_dot(dfa: Dfa, name: str = "automaton") -> str:
         for a in range(dfa.k):
             grouped.setdefault(dfa.delta[a][q], []).append(a)
         for t in sorted(grouped):
-            label = ",".join(_letter_name(a, dfa.k) for a in grouped[t])
+            label = ",".join(format_word((a,), dfa.k) for a in grouped[t])
             lines.append(f'  q{q} -> q{t} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import product
 from multiprocessing import Pool
@@ -139,10 +140,6 @@ def _document(config: RunConfig, report: dict) -> dict:
             "config": config.public_fields(), "report": report}
 
 
-def _load(config: RunConfig) -> Dfa:
-    return read_dfa(config.path)
-
-
 def _word_or_shortest(config: RunConfig, dfa: Dfa):
     if config.word is not None:
         return parse_word(config.word, dfa.k)
@@ -153,7 +150,7 @@ def _word_or_shortest(config: RunConfig, dfa: Dfa):
 
 
 def _run_check(config: RunConfig) -> RunResult:
-    dfa = _load(config)
+    dfa = read_dfa(config.path)
     greedy = greedy_reset_word(dfa)
     sync = greedy is not None
     strong = is_strongly_connected(dfa)
@@ -193,7 +190,7 @@ def _run_check(config: RunConfig) -> RunResult:
 
 
 def _run_matrix(config: RunConfig) -> RunResult:
-    dfa = _load(config)
+    dfa = read_dfa(config.path)
     if config.dot:
         text = to_dot(dfa)
         return RunResult(0, _document(config, {"dot": text}), text)
@@ -216,7 +213,7 @@ def _run_matrix(config: RunConfig) -> RunResult:
 
 
 def _run_trace(config: RunConfig) -> RunResult:
-    dfa = _load(config)
+    dfa = read_dfa(config.path)
     word = _word_or_shortest(config, dfa)
     trace = prefix_trace(dfa, word)
     report = {"word": format_word(word, dfa.k), "records": trace.to_json(dfa.k)}
@@ -227,7 +224,7 @@ def _run_trace(config: RunConfig) -> RunResult:
 
 
 def _run_probe(config: RunConfig) -> RunResult:
-    dfa = _load(config)
+    dfa = read_dfa(config.path)
     word = _word_or_shortest(config, dfa)
     shortest = len(word) if config.word is None else None
     rep = allocation_probe(dfa, word, config.q, config.limit, shortest)
@@ -285,7 +282,7 @@ def _enum_shard_stats(params: tuple[int, int, list[tuple[tuple[int, ...], int]],
     is the class's least member.  The other rows range over every value.
     """
     n, k, classes, limit = params
-    hist: dict[int, int] = {}
+    hist: Counter[int] = Counter()
     sync = 0
     # With k = 1 there are no other rows, and product((), repeat=0) yields one
     # empty tuple; listing the n^n rows anyway would cost n^n tuples.
@@ -295,7 +292,7 @@ def _enum_shard_stats(params: tuple[int, int, list[tuple[tuple[int, ...], int]],
             length = shortest_reset_length(Dfa(n=n, k=k, delta=(first, *rest)), limit)
             if length is not None:
                 sync += size
-                hist[length] = hist.get(length, 0) + size
+                hist[length] += size
     return {"sync": sync, "hist": hist}
 
 
@@ -317,10 +314,7 @@ def _run_enum(config: RunConfig) -> RunResult:
         with Pool(processes=len(shards)) as pool:
             parts = pool.map(_enum_shard_stats, shards)
     sync = sum(p["sync"] for p in parts)
-    hist: dict[int, int] = {}
-    for p in parts:
-        for length, count in p["hist"].items():
-            hist[length] = hist.get(length, 0) + count
+    hist = sum((p["hist"] for p in parts), Counter())
     bound = cerny_bound(n)
     max_length = max(hist) if hist else None
     exceeds = sum(c for length, c in hist.items() if length > bound)

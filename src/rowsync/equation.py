@@ -66,9 +66,9 @@ def solution_spec(m_u: RowMonomialMatrix, q: int = 0,
         for c in allowed:
             if not 0 <= c < n:
                 raise DomainError(f"restricted column {c} outside [0, {n})")
-    fixed = tuple(sorted(nonzero_columns(m_u)))
-    free = tuple(i for i in range(n) if i not in set(fixed))
-    return SolutionSpec(n=n, q=q, fixed_rows=fixed, free_rows=free, allowed_columns=allowed)
+    image = nonzero_columns(m_u)
+    free = tuple(i for i in range(n) if i not in image)
+    return SolutionSpec(n=n, q=q, fixed_rows=tuple(sorted(image)), free_rows=free, allowed_columns=allowed)
 
 
 def is_solution(m_u: RowMonomialMatrix, sol: RowMonomialMatrix, q: int = 0) -> bool:

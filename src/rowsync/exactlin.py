@@ -20,6 +20,7 @@ from itertools import compress, product
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from .equation import sink_matrix
 from .errors import DomainError
 from .rowmon import RowMonomialMatrix
 
@@ -322,13 +323,9 @@ def common_column_span_dimension(n: int, c: int) -> int:
     every member has c among its nonzero columns and at most two nonzero
     columns in total.  Measured, not asserted.
     """
-    basis = RationalBasis(n * n)
-    for d in range(n):
-        cols = (c,) if d == c else (c, d)
-        for m in all_row_monomial(n, columns=cols):
-            if c in m.targets:
-                basis.insert(flatten(m))
-    return basis.dimension
+    return span_dimension(m for d in range(n)
+                          for m in all_row_monomial(n, columns=(c,) if d == c else (c, d))
+                          if c in m.targets)
 
 
 def sink_family_dimension(n: int) -> int:
@@ -336,5 +333,4 @@ def sink_family_dimension(n: int) -> int:
 
     The other candidate reading: one matrix per column, each of rank one.
     """
-    sinks = (RowMonomialMatrix(n=n, targets=tuple([q] * n)) for q in range(n))
-    return span_dimension(sinks)
+    return span_dimension(sink_matrix(n, q) for q in range(n))

@@ -18,7 +18,7 @@ from .automaton import (Dfa, Word, cerny_bound, check_word, format_word,
                         shortest_reset_length, EXACT_SEARCH_LIMIT)
 from .equation import is_solution, sink_matrix
 from .errors import CapacityError, DomainError
-from .exactlin import RationalBasis, flatten
+from .exactlin import RationalBasis, flatten, span_dimension
 from .rowmon import RowMonomialMatrix, nonzero_columns
 
 __all__ = [
@@ -363,11 +363,7 @@ def allocation_probe(dfa: Dfa, word: Sequence[int], q: int | None = None,
             built.append(candidate)
         solutions = tuple(built)
         solutions_ok = all_solve
-        family = RationalBasis(n * n)
-        for s in solutions:
-            family.insert(flatten(s))
-        family.insert(flatten(sink_matrix(n, sink)))
-        independence_rank = family.dimension
+        independence_rank = span_dimension((*solutions, sink_matrix(n, sink)))
         independence_expected = len(solutions) + 1
         independence_ok = independence_rank == independence_expected
         if not independence_ok:

@@ -233,6 +233,32 @@ def test_strong_connectivity():
     assert not is_strongly_connected(Dfa(3, 2, ((0, 0, 1), (1, 1, 2))))
 
 
+def reachable(edges, start):
+    """States a breadth-first search from start reaches along edges[q]."""
+    seen = {start}
+    queue = [start]
+    for q in queue:
+        for t in edges[q]:
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return seen
+
+
+def test_strong_connectivity_against_closure():
+    rng = random.Random(8)
+    tables = [d for n, k in [*product((1, 2, 3), (1, 2)), (2, 3)] for d in all_tables(n, k)]
+    tables += [random_dfa(rng.randint(2, 9), rng.randint(1, 3), seed=rng.randrange(10**9)) for _ in range(200)]
+    one_way = 0
+    for d in tables:
+        edges = [{row[q] for row in d.delta} for q in range(d.n)]
+        expected = all(len(reachable(edges, q)) == d.n for q in range(d.n))
+        assert is_strongly_connected(d) == expected, d.delta
+        one_way += len(reachable(edges, 0)) == d.n and not expected
+    # The sweep holds tables where state 0 reaches every state but not every state reaches 0.
+    assert one_way > 0
+
+
 def test_bounds():
     assert [cerny_bound(n) for n in range(2, 7)] == [1, 4, 9, 16, 25]
     assert cubic_bound(4) == 10
@@ -364,6 +390,19 @@ def test_parse_word_round_trips_or_raises_invalid_word(text, k):
     assert parse_word(format_word(word, k), k) == word
 
 
+def test_parse_breaks_lines_only_at_newlines():
+    assert read_dfa_text("2 1\n0\x0c1\n").delta == ((0, 1),)
+    assert read_dfa_text("2 1\r\n0 1\r\n").delta == ((0, 1),)
+    assert read_dfa_text("2 1\r0 1\r").delta == ((0, 1),)
+
+
+def test_parse_error_line_counts_newlines_only():
+    for ch in "\x0c\x0b\x1c\x1d\x1e\x85\u2028\u2029":
+        with pytest.raises(ParseError) as err:
+            read_dfa_text(f"2 2\n0{ch}1\n1 7\n")
+        assert "line 3, column 3" in str(err.value), repr(ch)
+
+
 def test_parse_error_names_line_and_column():
     with pytest.raises(ParseError) as err:
         read_dfa_text("2 1\n0 7\n")
@@ -378,6 +417,16 @@ def test_dot_export():
     assert 'q0 -> q1 [label="a,b"];' in dot
     assert 'q1 -> q0 [label="a"];' in dot
     assert dot.endswith("}\n")
+
+
+def test_dot_export_beyond_26_letters():
+    every = ",".join(str(a) for a in range(27))
+    assert f'  q0 -> q0 [label="{every}"];' in to_dot(Dfa(1, 27, [(0,)] * 27))
+    split = Dfa(2, 27, [(0, 0) if a % 2 else (1, 0) for a in range(27)])
+    dot = to_dot(split)
+    assert f'  q0 -> q0 [label="{",".join(str(a) for a in range(1, 27, 2))}"];' in dot
+    assert f'  q0 -> q1 [label="{",".join(str(a) for a in range(0, 27, 2))}"];' in dot
+    assert f'  q1 -> q0 [label="{every}"];' in dot
 
 
 @st.composite
