@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import random
 import re
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import Sequence
 
 from .errors import CapacityError, DomainError, InvalidWordError, ParseError
@@ -23,6 +24,10 @@ Word = tuple[int, ...]
 
 EXACT_SEARCH_LIMIT = 24
 DEFAULT_ENUM_BUDGET = 1_000_000
+
+# class_id mark of a map no class has reached yet.  Every n <= 12 has fewer
+# classes (57,903 at n = 12, OEIS A001372).
+_UNREACHED = 0xFFFF
 
 _ALPHA = "abcdefghijklmnopqrstuvwxyz"
 
@@ -122,7 +127,7 @@ def _search(dfa: Dfa, limit: int) -> Word | None:
             table += [images | successors for images in table]
         tables.append(table)
     full = (1 << n) - 1
-    parent: dict[int, tuple[int, int] | None] = {full: None}
+    parent: dict[int, int | None] = {full: None}
     level = [full]
     while level:
         frontier = []
@@ -137,18 +142,34 @@ def _search(dfa: Dfa, limit: int) -> Word | None:
                 images >>= n
                 if nxt in parent:
                     continue
-                parent[nxt] = (cur, a)
+                parent[nxt] = cur
                 if nxt & (nxt - 1) == 0:
-                    word = [a]
-                    node = cur
-                    while node != full:
-                        node, letter = parent[node]
-                        word.append(letter)
-                    word.reverse()
-                    return tuple(word)
+                    return _walk_back(tables, n, parent, cur, a)
                 frontier.append(nxt)
         level = frontier
     return None
+
+
+def _walk_back(tables: list[list[int]], n: int, parent: dict[int, int | None],
+               node: int, letter: int) -> Word:
+    """The word from the full set to node, then letter, along _search's parent links.
+
+    The search reached each subset first from its parent under the least
+    letter that maps the parent onto it, so that letter is the one taken.
+    """
+    full = (1 << n) - 1
+    word = [letter]
+    while (prev := parent[node]) is not None:
+        images = 0
+        for i, table in enumerate(tables):
+            images |= table[prev >> 8 * i & 255]
+        letter = 0
+        while images >> letter * n & full != node:
+            letter += 1
+        word.append(letter)
+        node = prev
+    word.reverse()
+    return tuple(word)
 
 
 def shortest_reset_word(dfa: Dfa, limit: int = EXACT_SEARCH_LIMIT) -> Word | None:
@@ -291,16 +312,18 @@ def count_dfas(n: int, k: int) -> int:
     return n ** (n * k)
 
 
-def conjugacy_classes(n: int) -> list[tuple[tuple[int, ...], int]]:
-    """The maps [n] -> [n] up to state relabelling: (least member, class size) pairs.
+def conjugacy_classes(n: int) -> tuple[list[tuple[tuple[int, ...], int]], array]:
+    """The maps [n] -> [n] up to state relabelling.
 
-    Relabelling the states by a permutation s sends a map f to s f s^-1.  The
-    classes come in lexicographic order of their least members, and their
-    sizes sum to n^n.  Each map not yet reached, taken in lexicographic order,
-    is the least member of a new class, which is flooded under conjugation by
-    the transposition (0 1) and the n-cycle, two generators of the symmetric
-    group.  Marks live in a bytearray of n^n entries, so this takes n^n bytes
-    and O(n^n * n) time.
+    Returns (classes, class_id).  classes holds (least member, class size)
+    pairs in lexicographic order of their least members, and their sizes sum
+    to n^n; class_id[j] is the position in classes of the class of the j-th
+    map in lexicographic order.  Relabelling the states by a permutation s
+    sends a map f to s f s^-1.  Each map not yet reached, taken in
+    lexicographic order, is the least member of a new class, which is flooded
+    under conjugation by the transposition (0 1) and the n-cycle, two
+    generators of the symmetric group.  The ids live in an array('H') of n^n
+    entries, so this takes 2 n^n bytes and O(n^n * n) time.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got n = {n}")
@@ -310,12 +333,13 @@ def conjugacy_classes(n: int) -> list[tuple[tuple[int, ...], int]]:
     # Conjugating f by s gives the map s[i] -> s[f[i]]; its index in the
     # lexicographic order is the sum of s[f[i]] * place[s[i]].
     generators = [(s, [place[s[i]] for i in range(n)]) for s in (swap, cycle)]
-    seen = bytearray(n ** n)
+    class_id = array("H", [_UNREACHED]) * n ** n
     classes = []
     for index, f in enumerate(product(range(n), repeat=n)):
-        if seen[index]:
+        if class_id[index] != _UNREACHED:
             continue
-        seen[index] = 1
+        c = len(classes)
+        class_id[index] = c
         size = 0
         stack = [f]
         while stack:
@@ -324,14 +348,20 @@ def conjugacy_classes(n: int) -> list[tuple[tuple[int, ...], int]]:
             for s, weight in generators:
                 image = [s[t] for t in g]
                 j = sum(map(int.__mul__, image, weight))
-                if not seen[j]:
-                    seen[j] = 1
+                if class_id[j] == _UNREACHED:
+                    class_id[j] = c
                     h = [0] * n
                     for i, t in enumerate(image):
                         h[s[i]] = t
                     stack.append(h)
         classes.append((f, size))
-    return classes
+    return classes, class_id
+
+
+def centraliser(f: Sequence[int]) -> list[tuple[int, ...]]:
+    """The permutations s of the states with s f s^-1 = f, found by trying all of S_n."""
+    n = len(f)
+    return [s for s in permutations(range(n)) if all(s[f[i]] == f[s[i]] for i in range(n))]
 
 
 def random_dfa(n: int, k: int, seed: int) -> Dfa:

@@ -15,12 +15,13 @@ import os
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
-from itertools import product
+from itertools import combinations_with_replacement, islice, product
+from math import factorial, prod
 from multiprocessing import Pool
 
-from .automaton import (DEFAULT_ENUM_BUDGET, EXACT_SEARCH_LIMIT, Dfa, cerny_automaton,
-                        cerny_bound, conjugacy_classes, count_dfas, cubic_bound, format_word,
-                        greedy_reset_word, is_strongly_connected, parse_word,
+from .automaton import (DEFAULT_ENUM_BUDGET, EXACT_SEARCH_LIMIT, Dfa, centraliser,
+                        cerny_automaton, cerny_bound, conjugacy_classes, count_dfas, cubic_bound,
+                        format_word, greedy_reset_word, is_strongly_connected, parse_word,
                         random_dfa, read_dfa, shortest_reset_length, shortest_reset_word, to_dot,
                         write_dfa_text)
 from .errors import CapacityError, RowsyncError
@@ -124,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="aggregate synchronizing automata only")
     p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, at most the CPU count and the letter-0 row class count")
+                   help="worker processes, dealt the (row-1 class, row-2 orbit representative) "
+                        "units round robin; at most the CPU count and the class count")
     add_common(p, with_limit=True)
     return parser
 
@@ -273,27 +275,65 @@ def _run_gen(config: RunConfig) -> RunResult:
     return RunResult(0, _document(config, report), text)
 
 
-def _enum_shard_stats(params: tuple[int, int, list[tuple[tuple[int, ...], int]], int]) -> dict:
-    """Aggregate the tables whose letter-0 row lies in one of the given classes.
+def _enum_units(n: int, k: int, classes, class_id, maps):
+    """The tables' first rows up to state relabelling, as (rows, row classes, weight).
 
-    Relabelling the states maps a table to one with the same shortest reset
-    length and conjugates its letter-0 row, so the tables of a class have,
-    together, class size times the histogram of the tables whose letter-0 row
-    is the class's least member.  The other rows range over every value.
+    Relabelling the states by a permutation s keeps the shortest reset length
+    and conjugates every row by s.  So row 1 is the least member f of a class,
+    weighted by the class size.  The relabellings that keep row 1 = f are f's
+    centraliser C(f); row 2 is every map g whose class is at least f's and
+    that is least in its orbit under conjugation by C(f), and the unit's
+    weight is the class size times that orbit's size.  With k = 1 a unit is
+    the class alone.
     """
-    n, k, classes, limit = params
+    place = [n ** (n - 1 - i) for i in range(n)]
+    for c, (f, size) in enumerate(classes):
+        if k == 1:
+            yield (f,), (c,), size
+            continue
+        # s g s^-1 maps s[i] to s[g[i]]: index sum of s[g[i]] * place[s[i]].
+        relabellings = [(s, [place[t] for t in s]) for s in centraliser(f)]
+        reached = bytearray(len(maps))
+        for j, g in enumerate(maps):
+            if class_id[j] < c or reached[j]:
+                continue
+            # Maps are listed in lexicographic index order, so g is its orbit's least member.
+            orbit = {sum(s[t] * w for t, w in zip(g, weights)) for s, weights in relabellings}
+            for i in orbit:
+                reached[i] = 1
+            yield (f, g), (c, class_id[j]), size * len(orbit)
+
+
+def _enum_shard_stats(params: tuple) -> dict:
+    """Aggregate the tables of the units of _enum_units that a slice of positions picks.
+
+    Permuting the letters keeps the shortest reset length, so only tables
+    whose rows come in nondecreasing class order are searched: rows 3..k
+    range over every map whose class is at least the class of the row
+    before.  Each such table stands for the k!/prod(m_c!) orders of its
+    class multiset, m_c being the number of rows of class c, and carries its
+    unit's weight times that multinomial.  Returns the synchronizing count,
+    the length histogram and the total weight covered.
+    """
+    n, k, classes, class_id, limit, cut = params
+    maps = list(product(range(n), repeat=n)) if k > 1 else []
+    members: list[list[tuple[int, ...]]] = [[] for _ in classes]
+    for g, c in zip(maps, class_id):
+        members[c].append(g)
     hist: Counter[int] = Counter()
-    sync = 0
-    # With k = 1 there are no other rows, and product((), repeat=0) yields one
-    # empty tuple; listing the n^n rows anyway would cost n^n tuples.
-    rows = list(product(range(n), repeat=n)) if k > 1 else ()
-    for first, size in classes:
-        for rest in product(rows, repeat=k - 1):
-            length = shortest_reset_length(Dfa(n=n, k=k, delta=(first, *rest)), limit)
-            if length is not None:
-                sync += size
-                hist[length] += size
-    return {"sync": sync, "hist": hist}
+    sync = covered = 0
+    units = _enum_units(n, k, classes, class_id, maps)
+    for rows, row_classes, weight in islice(units, cut.start, cut.stop, cut.step):
+        for tail_classes in combinations_with_replacement(range(row_classes[-1], len(classes)), k - len(rows)):
+            orders = factorial(k) // prod(map(factorial, Counter(row_classes + tail_classes).values()))
+            table_weight = weight * orders
+            for tail in product(*(members[c] for c in tail_classes)):
+                covered += table_weight
+                length = shortest_reset_length(Dfa(n=n, k=k, delta=(*rows, *tail)), limit)
+                if length is not None:
+                    sync += table_weight
+                    hist[length] += table_weight
+    return {"sync": sync, "hist": hist, "weight": covered}
 
 
 def _run_enum(config: RunConfig) -> RunResult:
@@ -303,16 +343,21 @@ def _run_enum(config: RunConfig) -> RunResult:
     if total > config.budget:
         raise CapacityError(f"enumerating {total} tables exceeds the budget of {config.budget}; "
                             "raise --budget to proceed")
-    # n^n <= n^(nk) <= budget, so the class listing's n^n bytes are covered too.
-    classes = conjugacy_classes(n)
+    # n^n <= n^(nk) <= budget, so the class listing's 2 n^n bytes are covered too.
+    classes, class_id = conjugacy_classes(n)
+    # Worker i takes every workers-th unit from position i on, which spreads the
+    # least class's many row-2 representatives evenly.  Every class gives at
+    # least one unit, so no worker goes without one.
     workers = min(max(1, config.jobs), os.cpu_count() or 1, len(classes))
-    chunk = -(-len(classes) // workers)
-    shards = [(n, k, classes[lo:lo + chunk], config.limit) for lo in range(0, len(classes), chunk)]
+    shards = [(n, k, classes, class_id, config.limit, slice(i, None, workers)) for i in range(workers)]
     if len(shards) == 1:
         parts = [_enum_shard_stats(shards[0])]
     else:
         with Pool(processes=len(shards)) as pool:
             parts = pool.map(_enum_shard_stats, shards)
+    covered = sum(p["weight"] for p in parts)
+    if covered != total:
+        raise RowsyncError(f"enum weights cover {covered} of the {total} tables; the listing is wrong")
     sync = sum(p["sync"] for p in parts)
     hist = sum((p["hist"] for p in parts), Counter())
     bound = cerny_bound(n)

@@ -4,8 +4,9 @@ The expensive searches are checked against two oracles that know nothing
 about subset encodings: a brute force that tries every word in length order,
 and a breadth-first search over frozensets.  Found words are checked with a
 plain frozenset walk, image, which test_rowmon also uses as its oracle.  The
-enumeration up to state relabelling is checked against a brute force over
-all permutations and against a raw sweep of every table.
+enumeration up to state relabelling and letter permutation is checked
+against a brute force over all permutations and against a raw sweep of
+every table.
 """
 
 import random
@@ -265,11 +266,11 @@ def test_bounds():
 
 
 def brute_force_classes(n):
-    """(least member, size) of every class {s f s^-1 : s in S_n}, by trying every s."""
-    covered = set()
-    classes = []
+    """(least member, size) of every class {s f s^-1 : s in S_n}, by trying every s,
+    and the least member of the class of each map."""
+    least = {}
     for f in product(range(n), repeat=n):
-        if f in covered:
+        if f in least:
             continue
         orbit = set()
         for s in permutations(range(n)):
@@ -277,24 +278,32 @@ def brute_force_classes(n):
             for i in range(n):
                 g[s[i]] = s[f[i]]
             orbit.add(tuple(g))
-        covered |= orbit
-        classes.append((min(orbit), len(orbit)))
-    return sorted(classes)
+        least.update(dict.fromkeys(orbit, min(orbit)))
+    sizes = Counter(least.values())
+    return sorted(sizes.items()), least
 
 
 def test_conjugacy_classes():
     # OEIS A001372: maps [n] -> [n] up to relabelling.
-    classes = {n: conjugacy_classes(n) for n in range(1, 7)}
-    assert [len(classes[n]) for n in range(1, 7)] == [1, 3, 7, 19, 47, 130]
-    for n, found in classes.items():
+    listings = {n: conjugacy_classes(n) for n in range(1, 7)}
+    assert [len(listings[n][0]) for n in range(1, 7)] == [1, 3, 7, 19, 47, 130]
+    for n, (found, class_id) in listings.items():
         assert sum(size for _, size in found) == n ** n
+        assert len(class_id) == n ** n
+        assert Counter(class_id) == {c: size for c, (_, size) in enumerate(found)}
         if n <= 5:
-            assert found == brute_force_classes(n), n
+            classes, least = brute_force_classes(n)
+            assert found == classes, n
+            maps = product(range(n), repeat=n)
+            assert [found[c][0] for c in class_id] == [least[f] for f in maps], n
     with pytest.raises(DomainError):
         conjugacy_classes(0)
 
 
-@pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+# (1,4), (2,4) and (3,3) have k >= 3 rows, tables repeating a class, and the
+# identity row, whose centraliser is all of S_n.
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (2, 4),
+                                 (3, 1), (3, 2), (3, 3)])
 def test_enum_weighted_by_class_matches_raw_sweep(n, k):
     hist = Counter()
     for d in all_tables(n, k):

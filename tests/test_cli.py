@@ -246,17 +246,61 @@ def test_enum_parallel_matches_serial(capsys, n, k, sync, histogram):
 
 
 def test_enum_class_shards_add_up():
-    # Uneven cuts of the 19 letter-0 row classes of n = 4.  Every shard holds
-    # synchronizing tables, so dropping any one of them changes the totals.
-    classes = conjugacy_classes(4)
-    parts = [_enum_shard_stats((4, 2, classes[lo:hi], 24)) for lo, hi in ((0, 1), (1, 7), (7, 19))]
-    hist = Counter()
-    for part in parts:
-        hist.update(part["hist"])
-    assert sum(part["sync"] for part in parts) == 51520
-    assert hist == {1: 2032, 2: 22032, 3: 17616, 4: 4896, 5: 3072, 6: 1008, 7: 528, 8: 240, 9: 96}
-    for dropped in range(len(parts)):
-        assert sum(part["sync"] for i, part in enumerate(parts) if i != dropped) != 51520
+    # Uneven cuts of the (row-1 class, row-2 representative) units: the first
+    # unit alone, units 1..39, then the rest split into even and odd
+    # positions.  Every shard holds synchronizing tables, so dropping any one
+    # of them changes the totals.
+    cuts = (slice(0, 1), slice(1, 40), slice(40, None, 2), slice(41, None, 2))
+    for n, k, total, sync, histogram in (
+            (4, 2, 65536, 51520, {1: 2032, 2: 22032, 3: 17616, 4: 4896, 5: 3072, 6: 1008,
+                                  7: 528, 8: 240, 9: 96}),
+            (3, 3, 19683, 18375, {1: 5859, 2: 10680, 3: 1440, 4: 396})):
+        classes, class_id = conjugacy_classes(n)
+        parts = [_enum_shard_stats((n, k, classes, class_id, 24, cut)) for cut in cuts]
+        assert sum(part["weight"] for part in parts) == total
+        assert sum(part["sync"] for part in parts) == sync
+        assert sum((part["hist"] for part in parts), Counter()) == histogram
+        for dropped in range(len(parts)):
+            assert sum(part["sync"] for i, part in enumerate(parts) if i != dropped) != sync
+
+
+def test_enum_search_counts(monkeypatch):
+    # Tables are searched up to state relabelling and letter permutation: far
+    # fewer than one search per letter-0 row class and remaining rows
+    # (189, 5,103 and 4,864).
+    import rowsync.cli
+
+    calls = Counter()
+    search = rowsync.cli.shortest_reset_length
+
+    def counted(dfa, limit):
+        calls[dfa.n, dfa.k] += 1
+        return search(dfa, limit)
+
+    monkeypatch.setattr(rowsync.cli, "shortest_reset_length", counted)
+    for n, k in ((3, 2), (3, 3), (4, 2)):
+        assert run(RunConfig(command="enum", n=n, k=k)).exit_code == 0
+    assert calls[3, 2] <= 77 and calls[3, 3] <= 931 and calls[4, 2] <= 1523
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (2, 3)])
+def test_enum_weight_guard_exits_one(capsys, monkeypatch, n, k):
+    import rowsync.cli
+
+    units = rowsync.cli._enum_units
+
+    def drop_one(*args):
+        for position, unit in enumerate(units(*args)):
+            if position != 2:
+                yield unit
+
+    # A listing that misses tables must not yield a report.
+    monkeypatch.setattr(rowsync.cli, "_enum_units", drop_one)
+    assert main(["enum", "--n", str(n), "--k", str(k), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rowsync: error: enum weights cover ")
+    assert f"of the {n ** (n * k)} tables" in captured.err
 
 
 def test_enum_budget_exits_one(capsys, monkeypatch):
@@ -265,7 +309,7 @@ def test_enum_budget_exits_one(capsys, monkeypatch):
     def refuse(n):
         raise AssertionError("conjugacy classes listed before the budget check")
 
-    # The listing takes n^n bytes; n^n <= n^(nk), so the budget check must come first.
+    # The listing takes 2 n^n bytes; n^n <= n^(nk), so the budget check must come first.
     monkeypatch.setattr(rowsync.cli, "conjugacy_classes", refuse)
     assert main(["enum", "--n", "4", "--k", "3"]) == 1
     assert "exceeds the budget of 1000000" in capsys.readouterr().err
