@@ -2,10 +2,10 @@
 
 States are 0..n-1, letters are 0..k-1, and a word is any sequence of letter
 indices; the empty word acts as the identity.  The exact shortest-word
-search is one subset BFS over 8-state chunk tables, on bitset-encoded
-state subsets; the polynomial synchronization test and the greedy heuristic
-work on the pair automaton instead, so they stay usable where the exact
-search does not.
+search is one subset BFS on bitset-encoded state subsets, whose images come
+from three chunk tables of width max(8, ceil(n/3)); the polynomial
+synchronization test and the greedy heuristic work on the pair automaton
+instead, so they stay usable where the exact search does not.
 """
 
 from __future__ import annotations
@@ -102,12 +102,18 @@ def parse_word(text: str, k: int) -> Word:
 def _search(dfa: Dfa, limit: int) -> Word | None:
     """The subset search behind shortest_reset_word and shortest_reset_length.
 
-    Subsets are bitmasks.  The states are cut into chunks of 8, and each
-    chunk has one table mapping every subset of its states to the images of
-    that subset under all k letters at once, letter a's image in bits
-    a*n .. a*n+n-1 of one integer.  The images of any subset are the OR of
-    one lookup per chunk.  A table is built by doubling: adding a state to
-    every subset already listed ORs in that state's k successors.
+    Subsets are bitmasks.  The states are cut into three chunks of
+    w = max(8, ceil(n/3)) states, and each chunk has one table mapping every
+    subset of its states to the images of that subset under all k letters at
+    once, letter a's image in bits a*n .. a*n+n-1 of one integer; a chunk
+    with no states keeps the one-entry table [0].  The images of any subset
+    are the OR of exactly three lookups.  A table is built by doubling:
+    adding a state to every subset already listed ORs in that state's k
+    successors.
+
+    The word is read back along the parent links.  The search reached each
+    subset first from its parent under the least letter that maps the parent
+    onto it, so that letter is the one taken.
     """
     n, k = dfa.n, dfa.k
     if n > limit:
@@ -117,59 +123,47 @@ def _search(dfa: Dfa, limit: int) -> Word | None:
         )
     if n == 1:
         return ()
-    tables = []
-    for lo in range(0, n, 8):
-        table = [0]
-        for q in range(lo, min(lo + 8, n)):
-            successors = 0
-            for a, row in enumerate(dfa.delta):
-                successors |= 1 << (a * n + row[q])
-            table += [images | successors for images in table]
-        tables.append(table)
+    # max(8, ceil(n/3)), without the call that tiny searches would pay for.
+    w = 8 if n <= 24 else -(-n // 3)
+    tables = ([0], [0], [0])
+    for q in range(n):
+        successors = 0
+        for a, row in enumerate(dfa.delta):
+            successors |= 1 << (a * n + row[q])
+        table = tables[q // w]
+        table += [images | successors for images in table]
+    t0, t1, t2 = tables
+    mask = (1 << w) - 1
+    w2 = 2 * w
     full = (1 << n) - 1
+    shifts = range(0, k * n, n)
     parent: dict[int, int | None] = {full: None}
     level = [full]
     while level:
         frontier = []
+        push = frontier.append
         for cur in level:
-            images = 0
-            rest = cur
-            for table in tables:
-                images |= table[rest & 255]
-                rest >>= 8
-            for a in range(k):
-                nxt = images & full
-                images >>= n
+            images = t0[cur & mask] | t1[cur >> w & mask] | t2[cur >> w2]
+            for s in shifts:
+                nxt = images >> s & full
                 if nxt in parent:
                     continue
                 parent[nxt] = cur
                 if nxt & (nxt - 1) == 0:
-                    return _walk_back(tables, n, parent, cur, a)
-                frontier.append(nxt)
+                    word = [s // n]
+                    node = cur
+                    while (prev := parent[node]) is not None:
+                        images = t0[prev & mask] | t1[prev >> w & mask] | t2[prev >> w2]
+                        letter = 0
+                        while images >> letter * n & full != node:
+                            letter += 1
+                        word.append(letter)
+                        node = prev
+                    word.reverse()
+                    return tuple(word)
+                push(nxt)
         level = frontier
     return None
-
-
-def _walk_back(tables: list[list[int]], n: int, parent: dict[int, int | None],
-               node: int, letter: int) -> Word:
-    """The word from the full set to node, then letter, along _search's parent links.
-
-    The search reached each subset first from its parent under the least
-    letter that maps the parent onto it, so that letter is the one taken.
-    """
-    full = (1 << n) - 1
-    word = [letter]
-    while (prev := parent[node]) is not None:
-        images = 0
-        for i, table in enumerate(tables):
-            images |= table[prev >> 8 * i & 255]
-        letter = 0
-        while images >> letter * n & full != node:
-            letter += 1
-        word.append(letter)
-        node = prev
-    word.reverse()
-    return tuple(word)
 
 
 def shortest_reset_word(dfa: Dfa, limit: int = EXACT_SEARCH_LIMIT) -> Word | None:

@@ -17,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rowsync.automaton import (Dfa, cerny_automaton, cerny_bound, conjugacy_classes,
-                               cubic_bound, format_word, greedy_reset_word, is_strongly_connected,
-                               is_synchronizing, parse_word, random_dfa, read_dfa_text,
-                               shortest_reset_length, shortest_reset_word, to_dot, write_dfa_text)
+from rowsync.automaton import (EXACT_SEARCH_LIMIT, Dfa, cerny_automaton, cerny_bound,
+                               conjugacy_classes, cubic_bound, format_word, greedy_reset_word,
+                               is_strongly_connected, is_synchronizing, parse_word, random_dfa,
+                               read_dfa_text, shortest_reset_length, shortest_reset_word, to_dot,
+                               write_dfa_text)
 from rowsync.cli import RunConfig, run
 from rowsync.errors import CapacityError, DomainError, InvalidWordError, ParseError
 
@@ -176,15 +177,19 @@ def two_component_dfa(n, k, seed):
     return Dfa(n=n, k=k, delta=delta)
 
 
-@pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17])
+# Chunk width is max(8, ceil(n/3)): 8 up to n = 24 (the default limit), 9 at
+# n = 25 and 26, so the edges of all three chunk tables are crossed.
+@pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 23, 24, 25, 26])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_shortest_against_frozenset_bfs_at_chunk_edges(n, k):
     cases = [random_dfa(n, k, seed=1000 * n + 10 * k + i) for i in range(4)]
     cases += [two_component_dfa(n, k, seed=n * k), Dfa(n, k, [[(q + 1) % n for q in range(n)]] * k)]
     expected = [frozenset_bfs_shortest(d) for d in cases]
     assert expected[-2:] == [None, None]
+    limit = 26 if n > EXACT_SEARCH_LIMIT else EXACT_SEARCH_LIMIT
     for d, word in zip(cases, expected):
-        assert shortest_reset_word(d) == word, d.delta
+        assert shortest_reset_word(d, limit) == word, d.delta
+        assert shortest_reset_length(d, limit=26) == (None if word is None else len(word)), d.delta
 
 
 def test_pair_criterion_agrees_with_subset_search():

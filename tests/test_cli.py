@@ -246,17 +246,17 @@ def test_enum_parallel_matches_serial(capsys, n, k, sync, histogram):
 
 
 def test_enum_class_shards_add_up():
-    # Uneven cuts of the (row-1 class, row-2 representative) units: the first
-    # unit alone, units 1..39, then the rest split into even and odd
-    # positions.  Every shard holds synchronizing tables, so dropping any one
-    # of them changes the totals.
-    cuts = (slice(0, 1), slice(1, 40), slice(40, None, 2), slice(41, None, 2))
+    # Uneven shards of the row-1 classes: the first class alone, classes 1
+    # and 2, then the rest split into even and odd positions.  Every shard
+    # holds synchronizing tables, so dropping any one of them changes the
+    # totals.
     for n, k, total, sync, histogram in (
             (4, 2, 65536, 51520, {1: 2032, 2: 22032, 3: 17616, 4: 4896, 5: 3072, 6: 1008,
                                   7: 528, 8: 240, 9: 96}),
             (3, 3, 19683, 18375, {1: 5859, 2: 10680, 3: 1440, 4: 396})):
         classes, class_id = conjugacy_classes(n)
-        parts = [_enum_shard_stats((n, k, classes, class_id, 24, cut)) for cut in cuts]
+        picks = (range(0, 1), range(1, 3), range(3, len(classes), 2), range(4, len(classes), 2))
+        parts = [_enum_shard_stats((n, k, classes, class_id, 24, picked)) for picked in picks]
         assert sum(part["weight"] for part in parts) == total
         assert sum(part["sync"] for part in parts) == sync
         assert sum((part["hist"] for part in parts), Counter()) == histogram
@@ -465,9 +465,12 @@ def test_enum_jobs_clamped_to_shards_and_cpus(capsys, monkeypatch):
     assert json.loads(parallel)["report"] == json.loads(serial)["report"]
 
 
-# sha256 of json.dumps(report, sort_keys=True), recorded before the elimination
-# kernel moved to sparse rows; the prefix trace, the matching and the family
-# rank must all come out unchanged.
+# sha256 of json.dumps(report, sort_keys=True).  The probe and trace hashes
+# were recorded before the elimination kernel moved to sparse rows; the prefix
+# trace, the matching and the family rank must all come out unchanged.  The
+# check hashes were recorded on the search with one 8-state table per chunk,
+# before it moved to three fixed chunk tables; at 17 to 24 states all three
+# tables hold states.
 @pytest.mark.parametrize("gen,verb,sha256", [
     (["cerny", "--n", "9"], "probe",
      "8c792a3ce67ce4bf814c354d81b95b7b2547afd9b7f450fa0cb8b2aed3a5d372"),
@@ -475,7 +478,14 @@ def test_enum_jobs_clamped_to_shards_and_cpus(capsys, monkeypatch):
      "a3bf31f4900bad95fd237277045ae84355b329f363a843745734b47cf8c766ce"),
     (["cerny", "--n", "7"], "trace",
      "b1850dffae6015fd32c80f7aeee62aefb0ec97d9c88a52507ed40dbd6b87dda8"),
-], ids=["probe-cerny9", "probe-random14", "trace-cerny7"])
+    (["cerny", "--n", "17"], "check",
+     "3d7ca2479dfb4cee52579b6db8023ef6efb712ac3a0cb75737111e41842dc8f6"),
+    (["random", "--n", "24", "--k", "3", "--seed", "0"], "check",
+     "9312e54529dc0bf10cddbf1452a7a46ad8ca1b0a8a5b173174bcebd057ad2995"),
+    (["random", "--n", "22", "--k", "2", "--seed", "0"], "check",
+     "d4a6a0beff39631c7cadee91d6cf701a91fe44cc8452532a9fbd54abe2f47d3d"),
+], ids=["probe-cerny9", "probe-random14", "trace-cerny7", "check-cerny17", "check-random24",
+        "check-random22"])
 def test_report_documents_pinned(tmp_path, capsys, gen, verb, sha256):
     path = str(tmp_path / "dfa.txt")
     assert main(["gen", *gen, "-o", path]) == 0
