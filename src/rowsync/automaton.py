@@ -6,6 +6,9 @@ search is one subset BFS on bitset-encoded state subsets, whose images come
 from three chunk tables of width max(8, ceil(n/3)); the polynomial
 synchronization test and the greedy heuristic work on the pair automaton
 instead, so they stay usable where the exact search does not.
+The enum walker lists the tables up to state relabelling and letter
+permutation with one conjugation-index expression, and searches the raw rows
+it builds from range(n): Dfa validates input at the boundary only.
 """
 
 from __future__ import annotations
@@ -13,9 +16,10 @@ from __future__ import annotations
 import random
 import re
 from array import array
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
+from math import factorial, prod
 from typing import Sequence
 
 from .errors import CapacityError, DomainError, InvalidWordError, ParseError
@@ -99,8 +103,9 @@ def parse_word(text: str, k: int) -> Word:
     return letters
 
 
-def _search(dfa: Dfa, limit: int) -> Word | None:
-    """The subset search behind shortest_reset_word and shortest_reset_length.
+def _search(delta: Sequence[Sequence[int]], limit: int) -> Word | None:
+    """The subset search on trusted raw rows: a Dfa's delta, or rows the enum
+    walker built from range(n).
 
     Subsets are bitmasks.  The states are cut into three chunks of
     w = max(8, ceil(n/3)) states, and each chunk has one table mapping every
@@ -115,7 +120,7 @@ def _search(dfa: Dfa, limit: int) -> Word | None:
     subset first from its parent under the least letter that maps the parent
     onto it, so that letter is the one taken.
     """
-    n, k = dfa.n, dfa.k
+    n, k = len(delta[0]), len(delta)
     if n > limit:
         raise CapacityError(
             f"exact subset search handles n <= {limit} (got n = {n}); "
@@ -128,7 +133,7 @@ def _search(dfa: Dfa, limit: int) -> Word | None:
     tables = ([0], [0], [0])
     for q in range(n):
         successors = 0
-        for a, row in enumerate(dfa.delta):
+        for a, row in enumerate(delta):
             successors |= 1 << (a * n + row[q])
         table = tables[q // w]
         table += [images | successors for images in table]
@@ -175,12 +180,12 @@ def shortest_reset_word(dfa: Dfa, limit: int = EXACT_SEARCH_LIMIT) -> Word | Non
     first singleton found therefore closes the lexicographically least among
     all shortest reset words.
     """
-    return _search(dfa, limit)
+    return _search(dfa.delta, limit)
 
 
 def shortest_reset_length(dfa: Dfa, limit: int = EXACT_SEARCH_LIMIT) -> int | None:
     """Length of the shortest reset word, or None if the automaton is not synchronizing."""
-    word = _search(dfa, limit)
+    word = _search(dfa.delta, limit)
     return None if word is None else len(word)
 
 
@@ -306,56 +311,111 @@ def count_dfas(n: int, k: int) -> int:
     return n ** (n * k)
 
 
+def _relabellings(n: int) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Every relabelling s of the states with its weights[i] = n^(n-1-s[i]).
+
+    s g s^-1 is the map s[i] -> s[g[i]], of lexicographic index sum s[g[i]] * weights[i].
+    """
+    place = [n ** (n - 1 - i) for i in range(n)]
+    return [(s, [place[t] for t in s]) for s in permutations(range(n))]
+
+
+def _conjugates(g: Sequence[int], relabellings) -> list[int]:
+    """The index of s g s^-1 for each relabelling (s, weights)."""
+    return [sum(s[t] * w for t, w in zip(g, weights)) for s, weights in relabellings]
+
+
 def conjugacy_classes(n: int) -> tuple[list[tuple[tuple[int, ...], int]], array]:
     """The maps [n] -> [n] up to state relabelling.
 
     Returns (classes, class_id).  classes holds (least member, class size)
     pairs in lexicographic order of their least members, and their sizes sum
     to n^n; class_id[j] is the position in classes of the class of the j-th
-    map in lexicographic order.  Relabelling the states by a permutation s
-    sends a map f to s f s^-1.  Each map not yet reached, taken in
-    lexicographic order, is the least member of a new class, which is flooded
-    under conjugation by the transposition (0 1) and the n-cycle, two
-    generators of the symmetric group.  The ids live in an array('H') of n^n
-    entries, so this takes 2 n^n bytes and O(n^n * n) time.
+    map in lexicographic order.  Each map not yet reached, taken in
+    lexicographic order, is the least member of a new class: the set of its
+    conjugates under all n! relabellings.  The ids live in an array('H') of
+    n^n entries, so this takes 2 n^n bytes and O(n^n + c n! n) time for c
+    classes.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got n = {n}")
-    cycle = tuple((i + 1) % n for i in range(n))
-    swap = (1, 0, *range(2, n)) if n > 1 else cycle
-    place = [n ** (n - 1 - i) for i in range(n)]
-    # Conjugating f by s gives the map s[i] -> s[f[i]]; its index in the
-    # lexicographic order is the sum of s[f[i]] * place[s[i]].
-    generators = [(s, [place[s[i]] for i in range(n)]) for s in (swap, cycle)]
+    relabellings = _relabellings(n)
     class_id = array("H", [_UNREACHED]) * n ** n
     classes = []
     for index, f in enumerate(product(range(n), repeat=n)):
         if class_id[index] != _UNREACHED:
             continue
-        c = len(classes)
-        class_id[index] = c
-        size = 0
-        stack = [f]
-        while stack:
-            g = stack.pop()
-            size += 1
-            for s, weight in generators:
-                image = [s[t] for t in g]
-                j = sum(map(int.__mul__, image, weight))
-                if class_id[j] == _UNREACHED:
-                    class_id[j] = c
-                    h = [0] * n
-                    for i, t in enumerate(image):
-                        h[s[i]] = t
-                    stack.append(h)
-        classes.append((f, size))
+        orbit = set(_conjugates(f, relabellings))
+        for j in orbit:
+            class_id[j] = len(classes)
+        classes.append((f, len(orbit)))
     return classes, class_id
 
 
-def centraliser(f: Sequence[int]) -> list[tuple[int, ...]]:
-    """The permutations s of the states with s f s^-1 = f, found by trying all of S_n."""
-    n = len(f)
-    return [s for s in permutations(range(n)) if all(s[f[i]] == f[s[i]] for i in range(n))]
+def _enum_units(n: int, k: int, classes, class_id, maps, picked):
+    """The tables' first rows up to state relabelling, as (rows, row classes, weight).
+
+    Only the units whose row-1 class position is in picked are listed.
+
+    Relabelling the states by a permutation s keeps the shortest reset length
+    and conjugates every row by s.  So row 1 is the least member f of a class,
+    weighted by the class size.  The relabellings that keep row 1 = f are f's
+    centraliser C(f), those whose conjugate of f has f's own index, the least
+    of its class.  Row 2 is every map g whose class is at least f's and that
+    is least in its orbit under conjugation by C(f), and the unit's weight is
+    the class size times that orbit's size.  With k = 1 a unit is the class
+    alone.
+    """
+    relabellings = _relabellings(n)
+    for c in picked:
+        f, size = classes[c]
+        if k == 1:
+            yield (f,), (c,), size
+            continue
+        conjugates = _conjugates(f, relabellings)
+        least = min(conjugates)
+        centre = [r for r, j in zip(relabellings, conjugates) if j == least]
+        reached = bytearray(len(maps))
+        for j, g in enumerate(maps):
+            if class_id[j] < c or reached[j]:
+                continue
+            # Maps are listed in lexicographic index order, so g is its orbit's least member.
+            orbit = set(_conjugates(g, centre))
+            for i in orbit:
+                reached[i] = 1
+            yield (f, g), (c, class_id[j]), size * len(orbit)
+
+
+def _enum_shard_stats(params: tuple) -> dict:
+    """Aggregate the tables of the units of _enum_units whose row-1 classes are picked.
+
+    Permuting the letters keeps the shortest reset length, so only tables
+    whose rows come in nondecreasing class order are searched: rows 3..k
+    range over every map whose class is at least the class of the row
+    before.  Each such table stands for the k!/prod(m_c!) orders of its
+    class multiset, m_c being the number of rows of class c, and carries its
+    unit's weight times that multinomial.  Its rows are built from range(n),
+    so they go to _search as they are.  Returns the synchronizing count, the
+    length histogram and the total weight covered.
+    """
+    n, k, classes, class_id, limit, picked = params
+    maps = list(product(range(n), repeat=n)) if k > 1 else []
+    members: list[list[tuple[int, ...]]] = [[] for _ in classes]
+    for g, c in zip(maps, class_id):
+        members[c].append(g)
+    hist: Counter[int] = Counter()
+    sync = covered = 0
+    for rows, row_classes, weight in _enum_units(n, k, classes, class_id, maps, picked):
+        for tail_classes in combinations_with_replacement(range(row_classes[-1], len(classes)), k - len(rows)):
+            orders = factorial(k) // prod(map(factorial, Counter(row_classes + tail_classes).values()))
+            table_weight = weight * orders
+            for tail in product(*(members[c] for c in tail_classes)):
+                covered += table_weight
+                word = _search((*rows, *tail), limit)
+                if word is not None:
+                    sync += table_weight
+                    hist[len(word)] += table_weight
+    return {"sync": sync, "hist": hist, "weight": covered}
 
 
 def random_dfa(n: int, k: int, seed: int) -> Dfa:

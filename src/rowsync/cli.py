@@ -15,15 +15,12 @@ import os
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
-from itertools import combinations_with_replacement, product
-from math import factorial, prod
 from multiprocessing import Pool
 
-from .automaton import (DEFAULT_ENUM_BUDGET, EXACT_SEARCH_LIMIT, Dfa, centraliser,
+from .automaton import (DEFAULT_ENUM_BUDGET, EXACT_SEARCH_LIMIT, Dfa, _enum_shard_stats,
                         cerny_automaton, cerny_bound, conjugacy_classes, count_dfas, cubic_bound,
                         format_word, greedy_reset_word, is_strongly_connected, parse_word,
-                        random_dfa, read_dfa, shortest_reset_length, shortest_reset_word, to_dot,
-                        write_dfa_text)
+                        random_dfa, read_dfa, shortest_reset_word, to_dot, write_dfa_text)
 from .errors import CapacityError, RowsyncError
 from .probe import allocation_probe, prefix_trace
 from .rowmon import is_permutation, matrix_of_word, nonzero_columns, rank
@@ -95,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="matrix of a word over an automaton")
     p.add_argument("path")
-    p.add_argument("--dot", action="store_true", help="emit the automaton as GraphViz instead")
+    p.add_argument("--dot", action="store_true", help="emit the automaton as GraphViz instead; refuses --word")
     add_common(p, with_word=True)
 
     p = sub.add_parser("trace", help="rank and span dimension along prefixes of a reset word")
@@ -193,6 +190,8 @@ def _run_check(config: RunConfig) -> RunResult:
 
 
 def _run_matrix(config: RunConfig) -> RunResult:
+    if config.dot and config.word is not None:
+        raise RowsyncError("--word has no effect with --dot; give one or the other")
     dfa = read_dfa(config.path)
     if config.dot:
         text = to_dot(dfa)
@@ -267,6 +266,8 @@ def _run_lemmas(config: RunConfig) -> RunResult:
 
 def _run_gen(config: RunConfig) -> RunResult:
     if config.kind == "cerny":
+        if config.k != 2:
+            raise RowsyncError(f"gen cerny builds a two-letter automaton; --k must be 2, got {config.k}")
         dfa = cerny_automaton(config.n)
     else:
         dfa = random_dfa(config.n, config.k, config.seed)
@@ -274,69 +275,6 @@ def _run_gen(config: RunConfig) -> RunResult:
     report = {"kind": config.kind, "n": dfa.n, "k": dfa.k,
               "delta": [list(row) for row in dfa.delta], "text": text}
     return RunResult(0, _document(config, report), text)
-
-
-def _enum_units(n: int, k: int, classes, class_id, maps, picked):
-    """The tables' first rows up to state relabelling, as (rows, row classes, weight).
-
-    Only the units whose row-1 class position is in picked are listed.
-
-    Relabelling the states by a permutation s keeps the shortest reset length
-    and conjugates every row by s.  So row 1 is the least member f of a class,
-    weighted by the class size.  The relabellings that keep row 1 = f are f's
-    centraliser C(f); row 2 is every map g whose class is at least f's and
-    that is least in its orbit under conjugation by C(f), and the unit's
-    weight is the class size times that orbit's size.  With k = 1 a unit is
-    the class alone.
-    """
-    place = [n ** (n - 1 - i) for i in range(n)]
-    for c in picked:
-        f, size = classes[c]
-        if k == 1:
-            yield (f,), (c,), size
-            continue
-        # s g s^-1 maps s[i] to s[g[i]]: index sum of s[g[i]] * place[s[i]].
-        relabellings = [(s, [place[t] for t in s]) for s in centraliser(f)]
-        reached = bytearray(len(maps))
-        for j, g in enumerate(maps):
-            if class_id[j] < c or reached[j]:
-                continue
-            # Maps are listed in lexicographic index order, so g is its orbit's least member.
-            orbit = {sum(s[t] * w for t, w in zip(g, weights)) for s, weights in relabellings}
-            for i in orbit:
-                reached[i] = 1
-            yield (f, g), (c, class_id[j]), size * len(orbit)
-
-
-def _enum_shard_stats(params: tuple) -> dict:
-    """Aggregate the tables of the units of _enum_units whose row-1 classes are picked.
-
-    Permuting the letters keeps the shortest reset length, so only tables
-    whose rows come in nondecreasing class order are searched: rows 3..k
-    range over every map whose class is at least the class of the row
-    before.  Each such table stands for the k!/prod(m_c!) orders of its
-    class multiset, m_c being the number of rows of class c, and carries its
-    unit's weight times that multinomial.  Returns the synchronizing count,
-    the length histogram and the total weight covered.
-    """
-    n, k, classes, class_id, limit, picked = params
-    maps = list(product(range(n), repeat=n)) if k > 1 else []
-    members: list[list[tuple[int, ...]]] = [[] for _ in classes]
-    for g, c in zip(maps, class_id):
-        members[c].append(g)
-    hist: Counter[int] = Counter()
-    sync = covered = 0
-    for rows, row_classes, weight in _enum_units(n, k, classes, class_id, maps, picked):
-        for tail_classes in combinations_with_replacement(range(row_classes[-1], len(classes)), k - len(rows)):
-            orders = factorial(k) // prod(map(factorial, Counter(row_classes + tail_classes).values()))
-            table_weight = weight * orders
-            for tail in product(*(members[c] for c in tail_classes)):
-                covered += table_weight
-                length = shortest_reset_length(Dfa(n=n, k=k, delta=(*rows, *tail)), limit)
-                if length is not None:
-                    sync += table_weight
-                    hist[length] += table_weight
-    return {"sync": sync, "hist": hist, "weight": covered}
 
 
 def _run_enum(config: RunConfig) -> RunResult:

@@ -304,7 +304,7 @@ def allocation_probe(dfa: Dfa, word: Sequence[int], q: int | None = None,
     trace = _trace(n, w, matrices)
     records = trace.records
 
-    cell_columns = _distinctive_columns(n, sink) if n >= 2 else ()
+    cell_columns = _distinctive_columns(n, sink)
     cell_limit = max(0, n * (n - 2))
     collected = [i for i, r in enumerate(records) if r.r_size > 1]
     if len(collected) > cell_limit:

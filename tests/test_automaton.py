@@ -12,6 +12,7 @@ every table.
 import random
 from collections import Counter
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -296,6 +297,11 @@ def test_conjugacy_classes():
         assert sum(size for _, size in found) == n ** n
         assert len(class_id) == n ** n
         assert Counter(class_id) == {c: size for c, (_, size) in enumerate(found)}
+        # Orbit-stabiliser: a class has n!/|C(f)| members, C(f) being the
+        # relabellings s with s f = f s.
+        for f, size in found:
+            centraliser = sum(1 for s in permutations(range(n)) if all(s[f[i]] == f[s[i]] for i in range(n)))
+            assert size * centraliser == factorial(n), (n, f)
         if n <= 5:
             classes, least = brute_force_classes(n)
             assert found == classes, n

@@ -7,9 +7,9 @@ from itertools import permutations, product
 
 import pytest
 
-from rowsync.automaton import (Dfa, cerny_automaton, conjugacy_classes, is_synchronizing, read_dfa,
-                               write_dfa)
-from rowsync.cli import RunConfig, _enum_shard_stats, build_parser, config_from_args, main, run
+from rowsync.automaton import (Dfa, _enum_shard_stats, cerny_automaton, conjugacy_classes,
+                               is_synchronizing, read_dfa, write_dfa)
+from rowsync.cli import RunConfig, build_parser, config_from_args, main, run
 from rowsync.errors import ParseError
 
 CERNY3_TEXT = "3 2\n1 2 0\n1 1 2\n"
@@ -32,6 +32,16 @@ def test_gen_cerny_frozen_text(capsys):
     code, out = run_main(["gen", "cerny", "--n", "3"], capsys)
     assert code == 0
     assert out == CERNY3_TEXT
+
+
+@pytest.mark.parametrize("k", ["1", "3", "0"])
+def test_gen_cerny_refuses_other_alphabets(capsys, k):
+    # The Cerny automaton has two letters; a report with k = 2 must not
+    # describe a run configured with another --k.
+    assert main(["gen", "cerny", "--n", "4", "--k", k, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rowsync: error: ") and "--k" in captured.err
 
 
 def test_gen_check_round_trip(tmp_path, capsys):
@@ -148,6 +158,15 @@ def test_matrix_dot(cerny3_path, capsys):
     assert code == 0
     assert out.startswith("digraph")
     assert 'label="a,b"' in out
+
+
+def test_matrix_dot_refuses_word(cerny3_path, capsys):
+    # The DOT export draws the automaton, not a word; a word outside the
+    # alphabet must not pass unnoticed.
+    assert main(["matrix", cerny3_path, "--dot", "--word", "zz"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--word" in captured.err and "--dot" in captured.err
 
 
 def test_trace_defaults_to_shortest_word(cerny3_path, capsys):
@@ -268,26 +287,38 @@ def test_enum_search_counts(monkeypatch):
     # Tables are searched up to state relabelling and letter permutation: far
     # fewer than one search per letter-0 row class and remaining rows
     # (189, 5,103 and 4,864).
-    import rowsync.cli
+    import rowsync.automaton
 
     calls = Counter()
-    search = rowsync.cli.shortest_reset_length
+    search = rowsync.automaton._search
 
-    def counted(dfa, limit):
-        calls[dfa.n, dfa.k] += 1
-        return search(dfa, limit)
+    def counted(delta, limit):
+        calls[len(delta[0]), len(delta)] += 1
+        return search(delta, limit)
 
-    monkeypatch.setattr(rowsync.cli, "shortest_reset_length", counted)
+    monkeypatch.setattr(rowsync.automaton, "_search", counted)
     for n, k in ((3, 2), (3, 3), (4, 2)):
         assert run(RunConfig(command="enum", n=n, k=k)).exit_code == 0
     assert calls[3, 2] <= 77 and calls[3, 3] <= 931 and calls[4, 2] <= 1523
 
 
+def test_enum_builds_no_dfa(monkeypatch):
+    # The walker builds every table from range(n) and searches its raw rows;
+    # Dfa validation belongs to input at the boundary.
+    def refuse(self):
+        raise AssertionError("enum built a Dfa")
+
+    monkeypatch.setattr(Dfa, "__post_init__", refuse)
+    report = run(RunConfig(command="enum", n=3, k=2)).document["report"]
+    assert report["synchronizing"] == 549
+    assert report["length_histogram"] == {"1": 153, "2": 324, "3": 48, "4": 24}
+
+
 @pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (2, 3)])
 def test_enum_weight_guard_exits_one(capsys, monkeypatch, n, k):
-    import rowsync.cli
+    import rowsync.automaton
 
-    units = rowsync.cli._enum_units
+    units = rowsync.automaton._enum_units
 
     def drop_one(*args):
         for position, unit in enumerate(units(*args)):
@@ -295,7 +326,7 @@ def test_enum_weight_guard_exits_one(capsys, monkeypatch, n, k):
                 yield unit
 
     # A listing that misses tables must not yield a report.
-    monkeypatch.setattr(rowsync.cli, "_enum_units", drop_one)
+    monkeypatch.setattr(rowsync.automaton, "_enum_units", drop_one)
     assert main(["enum", "--n", str(n), "--k", str(k), "--json"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -406,6 +437,7 @@ def test_probe_honours_limit_with_given_word(tmp_path, capsys):
 
 
 def test_probe_without_word_searches_once(cerny3_path, capsys, monkeypatch):
+    import rowsync.automaton
     import rowsync.cli
     import rowsync.probe
 
@@ -417,12 +449,12 @@ def test_probe_without_word_searches_once(cerny3_path, capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module, name in ((rowsync.cli, "shortest_reset_word"), (rowsync.cli, "shortest_reset_length"),
-                         (rowsync.probe, "shortest_reset_length")):
+    for module, name in ((rowsync.cli, "shortest_reset_word"), (rowsync.probe, "shortest_reset_length"),
+                         (rowsync.automaton, "_search")):
         monkeypatch.setattr(module, name, counted(getattr(module, name)))
     code, out = run_main(["probe", cerny3_path, "--json"], capsys)
     assert code == 0
-    assert calls == ["shortest_reset_word"]
+    assert calls == ["shortest_reset_word", "_search"]
     assert json.loads(out)["report"]["bound_verdict"] == {
         "n": 3, "bound": 4, "length": 4, "status": "within-bound"}
 
@@ -470,7 +502,8 @@ def test_enum_jobs_clamped_to_shards_and_cpus(capsys, monkeypatch):
 # trace, the matching and the family rank must all come out unchanged.  The
 # check hashes were recorded on the search with one 8-state table per chunk,
 # before it moved to three fixed chunk tables; at 17 to 24 states all three
-# tables hold states.
+# tables hold states.  The one-state hashes were recorded before the probe
+# stopped special-casing n = 1 around its distinctive columns.
 @pytest.mark.parametrize("gen,verb,sha256", [
     (["cerny", "--n", "9"], "probe",
      "8c792a3ce67ce4bf814c354d81b95b7b2547afd9b7f450fa0cb8b2aed3a5d372"),
@@ -484,8 +517,12 @@ def test_enum_jobs_clamped_to_shards_and_cpus(capsys, monkeypatch):
      "9312e54529dc0bf10cddbf1452a7a46ad8ca1b0a8a5b173174bcebd057ad2995"),
     (["random", "--n", "22", "--k", "2", "--seed", "0"], "check",
      "d4a6a0beff39631c7cadee91d6cf701a91fe44cc8452532a9fbd54abe2f47d3d"),
+    (["random", "--n", "1", "--k", "2", "--seed", "0"], "probe",
+     "5acd569d98c2cdaad2ad5478d0d11e29831fa27470cef07748c0006431f6adef"),
+    (["random", "--n", "1", "--k", "2", "--seed", "0"], "trace",
+     "0a73963d6f0df61f98e432d81eceafaf6ec8428c1e1711f31d5628a2f0c55781"),
 ], ids=["probe-cerny9", "probe-random14", "trace-cerny7", "check-cerny17", "check-random24",
-        "check-random22"])
+        "check-random22", "probe-random1", "trace-random1"])
 def test_report_documents_pinned(tmp_path, capsys, gen, verb, sha256):
     path = str(tmp_path / "dfa.txt")
     assert main(["gen", *gen, "-o", path]) == 0
