@@ -418,11 +418,14 @@ def _enum_shard_stats(params: tuple) -> dict:
     return {"sync": sync, "hist": hist, "weight": covered}
 
 
+def _random_dfa(rng: random.Random, n: int, k: int) -> Dfa:
+    """Uniform independent transitions drawn from rng, letter by letter."""
+    return Dfa(n=n, k=k, delta=tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(k)))
+
+
 def random_dfa(n: int, k: int, seed: int) -> Dfa:
     """Uniform independent transitions; a fixed seed fixes the table."""
-    rng = random.Random(seed)
-    delta = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(k))
-    return Dfa(n=n, k=k, delta=delta)
+    return _random_dfa(random.Random(seed), n, k)
 
 
 def write_dfa_text(dfa: Dfa) -> str:

@@ -1,14 +1,16 @@
 """Exact rational linear algebra over flattened matrices.
 
-Matrices enter as row-major 0/1 vectors of length n*n.  Every rank,
-membership and coefficient answer comes from one fraction-free elimination
-step on sparse integer rows, {position: nonzero value}: cross-multiply to
-clear a pivot entry, divide out the gcd and make the leading entry positive.
-RationalBasis keeps its echelon rows keyed by pivot, and a flattened row
-monomial matrix has only n units among its n*n slots, so a step costs the
-nonzeros of two rows rather than their width.  Rationals appear only when
-express_vectors reads off its coefficients.  No floating point anywhere, so
-ranks, span membership and coefficients are exact.
+Matrices enter as row-major 0/1 vectors of length n*n.  One echelon
+basis, RationalBasis, answers every rank, membership and coefficient
+question with one fraction-free elimination step on sparse integer rows,
+{position: nonzero value}: cross-multiply to clear a pivot entry, divide out
+the gcd and make the leading entry positive.  It keeps its rows keyed by
+pivot, and a flattened row monomial matrix has only n units among its n*n
+slots, so a step costs the nonzeros of two rows rather than their width.
+express_vectors tags each vector with a unit of its own, so the target's
+residue carries its coefficients; rationals appear only when it reads them
+off.  No floating point anywhere, so ranks, span membership and
+coefficients are exact.
 """
 
 from __future__ import annotations
@@ -85,7 +87,10 @@ class RationalBasis:
     def _residue(self, vec: Sequence[int]) -> Row:
         if len(vec) != self.ambient:
             raise DomainError(f"vector length {len(vec)} does not match ambient {self.ambient}")
-        v = {i: vec[i] for i in compress(range(len(vec)), vec)}
+        return self._reduce({i: vec[i] for i in compress(range(len(vec)), vec)})
+
+    def _reduce(self, v: Row) -> Row:
+        """Sparse v less its components along the stored rows, in pivot order."""
         rows = self._rows
         for pivot in self._pivots:
             if not v:
@@ -94,14 +99,18 @@ class RationalBasis:
                 v = _eliminate(v, rows[pivot], pivot)
         return v
 
+    def _store(self, residue: Row) -> None:
+        """Keep a nonzero residue as the echelon row of its least position."""
+        pivot = min(residue)
+        insort(self._pivots, pivot)
+        self._rows[pivot] = residue
+
     def insert(self, vec: Sequence[int]) -> bool:
         """Add a vector; True iff it was independent of the current span."""
         residue = self._residue(vec)
         if not residue:
             return False
-        pivot = min(residue)
-        insort(self._pivots, pivot)
-        self._rows[pivot] = residue
+        self._store(residue)
         return True
 
     def contains(self, vec: Sequence[int]) -> bool:
@@ -129,42 +138,31 @@ def span_dimension(matrices: Iterable[RowMonomialMatrix]) -> int:
 def express_vectors(target: Sequence[int], columns: Sequence[Sequence[int]]) -> RationalCoefficients | None:
     """Solve sum_i x_i * columns[i] = target exactly over the rationals.
 
-    Integer Gauss-Jordan on the sparse rows of [columns | target] with the
-    step RationalBasis uses.  Each column in order pivots on the first
-    usable row and is cleared from all others, so pivot rows read
-    lead * x = rhs and x = Fraction(rhs, lead).  Free variables are zero, so
-    equal inputs give equal outputs.  Returns None when the target is
-    outside the span.
+    One RationalBasis over height + m + 1 positions.  Column i enters with a
+    unit tag at position height + i and is kept only if its residue still
+    has an entry below height, that is, only if it is independent of
+    columns 0..i-1.  Kept rows combine kept columns only, so a dropped
+    column's tag never reaches one and its free variable is zero: equal
+    inputs give equal outputs.  The target enters tagged at height + m.
+    A residue with no entry below height reads
+    t * target + sum_i c_i * columns[i] = 0, with t at height + m and c_i at
+    height + i, so x_i = -c_i / t, unique over the kept columns.  Any other
+    residue means the target is outside the span, and None is returned.
     """
     m = len(columns)
     height = len(target)
     for col in columns:
         if len(col) != height:
             raise DomainError(f"column length {len(col)} does not match target length {height}")
-    entries: list[Row] = [{} for _ in range(height)]
-    for i, col in enumerate((*columns, target)):
-        for r, x in enumerate(col):
-            if x:
-                entries[r][i] = x
-    rows = [row for row in entries if row]
-    pivots: list[int] = []
-    for col in range(m):
-        rank = len(pivots)
-        found = next((r for r in range(rank, len(rows)) if col in rows[r]), None)
-        if found is None:
-            continue
-        rows[rank], rows[found] = rows[found], rows[rank]
-        pivot = rows[rank]
-        for r, row in enumerate(rows):
-            if r != rank and col in row:
-                rows[r] = _eliminate(row, pivot, col)
-        pivots.append(col)
-    if any(m in row for row in rows[len(pivots):]):
+    basis = RationalBasis(height + m + 1)
+    for tag, vec in enumerate((*columns, target), start=height):
+        residue = basis._reduce({**{r: vec[r] for r in compress(range(height), vec)}, tag: 1})
+        if min(residue) < height and tag < height + m:
+            basis._store(residue)
+    if min(residue) < height:
         return None
-    coeffs = [Fraction(0)] * m
-    for row, col in zip(rows, pivots):
-        coeffs[col] = Fraction(row.get(m, 0), row[col])
-    return tuple(coeffs)
+    t = residue[height + m]
+    return tuple(Fraction(-residue.get(height + i, 0), t) for i in range(m))
 
 
 def express(target: RowMonomialMatrix, matrices: Sequence[RowMonomialMatrix]) -> RationalCoefficients | None:

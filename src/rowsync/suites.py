@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .automaton import Dfa
+from .automaton import _random_dfa
 from .equation import enumerate_solutions, is_solution, leq_q, minimal_solution, solution_spec
 from .exactlin import (all_row_monomial, check_sum_conditions, combine, common_column_span_dimension,
                        common_denominator, decompose_vij, express, flatten, matrix_rank,
@@ -39,10 +39,6 @@ class SuiteResult:
     def to_json(self) -> dict:
         return {"name": self.name, "checks": self.checks, "ok": self.ok,
                 "violations": list(self.violations), "extras": self.extras}
-
-
-def _random_dfa(rng: random.Random, n: int, k: int) -> Dfa:
-    return Dfa(n=n, k=k, delta=tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(k)))
 
 
 def rank_monotonicity_suite(samples: int = DEFAULT_SAMPLES, seed: int = 0) -> SuiteResult:

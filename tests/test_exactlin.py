@@ -73,10 +73,22 @@ def oracle_solve(target, columns):
 
 
 def random_system(rng, kind):
-    """A seeded integer system (target, columns) of the given kind."""
-    height = rng.randint(1, 7)
-    width = 0 if kind == "empty" else rng.randint(1, 7)
-    columns = [[rng.randint(-3, 3) for _ in range(height)] for _ in range(width)]
+    """A seeded integer system (target, columns) of the given kind.
+
+    "wide" systems have more columns than rows, up to 12, and mix fresh
+    columns with zero, repeated and scaled copies of earlier ones.
+    """
+    if kind == "wide":
+        height = rng.randint(1, 6)
+        columns = [[rng.randint(-3, 3) for _ in range(height)]]
+        for _ in range(rng.randint(height, 11)):
+            f = rng.choice((None, 0, 1, -2, 3))
+            columns.append([rng.randint(-3, 3) for _ in range(height)] if f is None
+                           else [f * x for x in rng.choice(columns)])
+    else:
+        height = rng.randint(1, 7)
+        width = 0 if kind == "empty" else rng.randint(1, 7)
+        columns = [[rng.randint(-3, 3) for _ in range(height)] for _ in range(width)]
     if kind == "rank-deficient":
         b, c = rng.randrange(width), rng.randrange(width)
         f, g = rng.randint(-2, 2), rng.randint(-2, 2)
@@ -92,7 +104,7 @@ def random_system(rng, kind):
     return target, columns
 
 
-@pytest.mark.parametrize("kind", ["consistent", "inconsistent", "rank-deficient", "empty"])
+@pytest.mark.parametrize("kind", ["consistent", "inconsistent", "rank-deficient", "empty", "wide"])
 def test_express_vectors_matches_textbook_solver(kind):
     rng = random.Random(f"express-{kind}")
     outcomes = set()
@@ -105,7 +117,7 @@ def test_express_vectors_matches_textbook_solver(kind):
             assert all(isinstance(c, Fraction) for c in coeffs)
             assert [sum(c * col[r] for c, col in zip(coeffs, columns))
                     for r in range(len(target))] == target
-    if kind in ("consistent", "rank-deficient"):
+    if kind in ("consistent", "rank-deficient", "wide"):
         assert outcomes == {False}
     else:
         assert outcomes == {False, True}
@@ -179,6 +191,7 @@ def test_express_out_of_span():
     assert express(identity(3), [sink]) is None
     assert express_vectors((0, 0, 0), []) == ()
     assert express_vectors((1, 0, 0), []) is None
+    assert express_vectors((), [(), ()]) == (Fraction(0), Fraction(0))
 
 
 def test_express_sets_free_variables_to_zero():
@@ -186,9 +199,17 @@ def test_express_sets_free_variables_to_zero():
     assert express(m, [m, m]) == (Fraction(1), Fraction(0))
 
 
-def test_express_size_mismatch():
+def test_express_size_mismatch(monkeypatch):
     with pytest.raises(DomainError):
         express(identity(3), [identity(2)])
+
+    def no_elimination(*args):
+        raise AssertionError("eliminated before the length check")
+
+    monkeypatch.setattr("rowsync.exactlin._eliminate", no_elimination)
+    for columns in ([(1, 0, 0), (1, 0)], [(1, 0, 0), (1, 0, 0), (1, 0)]):
+        with pytest.raises(DomainError, match="column length 2 does not match target length 3"):
+            express_vectors((1, 0, 0), columns)
 
 
 def dense_sum(numerators, matrices, n):
