@@ -2,10 +2,17 @@
 
 States are 0..n-1, letters are 0..k-1, and a word is any sequence of letter
 indices; the empty word acts as the identity.  The exact shortest-word
-search is one subset BFS on bitset-encoded state subsets, whose images come
-from three chunk tables of width max(8, ceil(n/3)); the polynomial
-synchronization test and the greedy heuristic work on the pair automaton
-instead, so they stay usable where the exact search does not.
+search is one kernel on bitset-encoded state subsets, whose images come
+from three chunk tables of width max(8, ceil(n/3)).  It runs a forward BFS
+over the images of the full set and, once a forward level holds more than
+16 n subsets, races it against a backward BFS over the preimages of the
+singletons, favouring the forward side 16 to 1: on typical random automata
+the backward side alone visits about 1.4 times the sets, but on the Cerny
+automata it reaches the full set after about n^2 sets where the forward side
+visits nearly all 2^n.  Both sides give the lexicographically least shortest
+reset word.  The polynomial synchronization test and the greedy heuristic
+work on the pair automaton instead, so they stay usable where the exact
+search does not.
 The enum walker lists the tables up to state relabelling and letter
 permutation with one conjugation-index expression, and searches the raw rows
 it builds from range(n): Dfa validates input at the boundary only.
@@ -35,6 +42,12 @@ _UNREACHED = 0xFFFF
 
 _ALPHA = "abcdefghijklmnopqrstuvwxyz"
 
+# The backward search starts once a forward level holds more than _RACE * n
+# subsets, and it grows only while the forward level is more than _RACE times
+# its newest level.  Backward alone visits about 1.4 times the sets forward
+# does on typical random automata, so the race favours the forward side.
+_RACE = 16
+
 
 @dataclass(frozen=True, slots=True)
 class Dfa:
@@ -58,7 +71,7 @@ class Dfa:
             if len(row) != n:
                 raise DomainError(f"delta row {a} needs {n} entries, got {len(row)}")
             for q, t in enumerate(row):
-                if not isinstance(t, int) or not 0 <= t < n:
+                if type(t) is not int or not 0 <= t < n:
                     raise DomainError(f"delta[{a}][{q}] = {t!r} outside [0, {n})")
 
 
@@ -66,7 +79,7 @@ def check_word(dfa: Dfa, word: Sequence[int]) -> Word:
     """Validate letter indices against the alphabet and return a tuple."""
     w = tuple(word)
     for a in w:
-        if not isinstance(a, int) or not 0 <= a < dfa.k:
+        if type(a) is not int or not 0 <= a < dfa.k:
             raise InvalidWordError(f"letter {a!r} outside alphabet of size {dfa.k}")
     return w
 
@@ -116,9 +129,27 @@ def _search(delta: Sequence[Sequence[int]], limit: int) -> Word | None:
     adding a state to every subset already listed ORs in that state's k
     successors.
 
-    The word is read back along the parent links.  The search reached each
-    subset first from its parent under the least letter that maps the parent
-    onto it, so that letter is the one taken.
+    The forward BFS runs from the full set.  Once one of its levels holds
+    more than _RACE * n subsets, a backward BFS starts from the n
+    singletons over the nonempty preimage sets, read from three more chunk
+    tables built the same way from each state's k preimage sets.  From then
+    on the side to grow is chosen before each forward level: backward levels
+    while the forward level is more than _RACE times the newest backward
+    level, else the forward level.  Whichever side finishes first answers,
+    and if either runs out of new sets the automaton is not synchronizing.
+
+    A singleton found forward is read back along the parent links.  The
+    search reached each subset first from its parent under the least letter
+    that maps the parent onto it, so that letter is the one taken.  If the
+    backward side reaches the full set at level d, a forward walk rebuilds
+    the word: step t takes the least letter whose image lies inside a set of
+    backward level d-1-t.  Such a set is s u^-1 for a state s and a word u of
+    length d-1-t, so the image has a completion of exactly the remaining
+    length; conversely every such completion puts the image inside a set
+    the backward BFS reached, and no earlier than level d-1-t, or a reset
+    word shorter than d would exist.  So the walk takes the least letter
+    that still leads to a reset word of length d, at every step, and
+    returns the least shortest reset word, the one the forward side gives.
     """
     n, k = len(delta[0]), len(delta)
     if n > limit:
@@ -144,7 +175,50 @@ def _search(delta: Sequence[Sequence[int]], limit: int) -> Word | None:
     shifts = range(0, k * n, n)
     parent: dict[int, int | None] = {full: None}
     level = [full]
+    # The backward levels, once the race has begun; level 0 is the n singletons.
+    back: list[list[int]] = []
+    cap = _RACE * n
     while level:
+        if len(level) > cap:
+            if not back:
+                preimages = [0] * n
+                for a, row in enumerate(delta):
+                    for p, q in enumerate(row):
+                        preimages[q] |= 1 << (a * n + p)
+                tables = ([0], [0], [0])
+                for q, bits in enumerate(preimages):
+                    table = tables[q // w]
+                    table += [sets | bits for sets in table]
+                b0, b1, b2 = tables
+                back.append([1 << q for q in range(n)])
+                # 0, the empty preimage, is marked seen so that it is never pushed.
+                seen = {0, *back[0]}
+            while len(level) > cap:
+                frontier = []
+                push = frontier.append
+                for cur in back[-1]:
+                    sets = b0[cur & mask] | b1[cur >> w & mask] | b2[cur >> w2]
+                    for s in shifts:
+                        nxt = sets >> s & full
+                        if nxt in seen:
+                            continue
+                        if nxt == full:
+                            word = []
+                            node = full
+                            for targets in reversed(back):
+                                images = t0[node & mask] | t1[node >> w & mask] | t2[node >> w2]
+                                for s in shifts:
+                                    node = images >> s & full
+                                    if any(node & b == node for b in targets):
+                                        break
+                                word.append(s // n)
+                            return tuple(word)
+                        seen.add(nxt)
+                        push(nxt)
+                if not frontier:
+                    return None
+                back.append(frontier)
+                cap = _RACE * len(frontier)
         frontier = []
         push = frontier.append
         for cur in level:
@@ -174,11 +248,13 @@ def _search(delta: Sequence[Sequence[int]], limit: int) -> Word | None:
 def shortest_reset_word(dfa: Dfa, limit: int = EXACT_SEARCH_LIMIT) -> Word | None:
     """Exact shortest reset word, or None if the automaton is not synchronizing.
 
-    Breadth-first search over subsets reachable from the full state set.
-    Letters are tried in increasing index order, so within each length level
-    subsets are discovered in lexicographic order of their least word; the
-    first singleton found therefore closes the lexicographically least among
-    all shortest reset words.
+    Breadth-first search over subsets reachable from the full state set,
+    raced against a backward search over preimages of singletons (see
+    _search).  Letters are tried in increasing index order, so within each
+    length level subsets are discovered in lexicographic order of their least
+    word; the first singleton found therefore closes the lexicographically
+    least among all shortest reset words, and the backward side's word walk
+    picks that same word.
     """
     return _search(dfa.delta, limit)
 

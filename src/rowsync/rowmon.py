@@ -33,7 +33,7 @@ class RowMonomialMatrix:
         if len(self.targets) != self.n:
             raise DomainError(f"need {self.n} row targets, got {len(self.targets)}")
         for i, t in enumerate(self.targets):
-            if not isinstance(t, int) or not 0 <= t < self.n:
+            if type(t) is not int or not 0 <= t < self.n:
                 raise DomainError(f"targets[{i}] = {t!r} outside [0, {self.n})")
 
     def row(self, i: int) -> tuple[int, ...]:

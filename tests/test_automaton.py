@@ -18,11 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rowsync.automaton
 from rowsync.automaton import (EXACT_SEARCH_LIMIT, Dfa, cerny_automaton, cerny_bound,
-                               conjugacy_classes, cubic_bound, format_word, greedy_reset_word,
-                               is_strongly_connected, is_synchronizing, parse_word, random_dfa,
-                               read_dfa_text, shortest_reset_length, shortest_reset_word, to_dot,
-                               write_dfa_text)
+                               check_word, conjugacy_classes, cubic_bound, format_word,
+                               greedy_reset_word, is_strongly_connected, is_synchronizing, parse_word,
+                               random_dfa, read_dfa_text, shortest_reset_length, shortest_reset_word,
+                               to_dot, write_dfa_text)
 from rowsync.cli import RunConfig, run
 from rowsync.errors import CapacityError, DomainError, InvalidWordError, ParseError
 
@@ -70,8 +71,8 @@ def test_dfa_validation():
         Dfa(2, 2, ((0, 1),))
     d = Dfa(2, 1, [[1, 0]])
     assert d.delta == ((1, 0),)
-    d = Dfa(2, 2, [[True, False], (0, 1)])
-    assert d.delta == ((1, 0), (0, 1)) and d.delta[0][0] is True
+    d = Dfa(2, 2, [[1, 0], (0, 1)])
+    assert d.delta == ((1, 0), (0, 1))
 
 
 @pytest.mark.parametrize("n,k,delta,message", [
@@ -80,15 +81,27 @@ def test_dfa_validation():
     (2, 1, [[0, 2]], "delta[0][1] = 2 outside [0, 2)"),
     (2, 1, [["0", 1]], "delta[0][0] = '0' outside [0, 2)"),
     (2, 1, [[None, 1]], "delta[0][0] = None outside [0, 2)"),
-    (2, 1, [[True, 5]], "delta[0][1] = 5 outside [0, 2)"),
+    (2, 1, [[True, 5]], "delta[0][0] = True outside [0, 2)"),
     (3, 2, [[0, 1, 2], [2, 1, -3]], "delta[1][2] = -3 outside [0, 3)"),
     (3, 2, [[0, 1, 2], [2, 1]], "delta row 1 needs 3 entries, got 2"),
     (3, 2, [[0, 1, 2]], "delta needs one row per letter: expected 2, got 1"),
+    # bool is a subclass of int, so an isinstance test would let these through.
+    (2, 2, ((True, True), (0, False)), "delta[0][0] = True outside [0, 2)"),
+    (2, 2, ((0, 1), (1, False)), "delta[1][1] = False outside [0, 2)"),
 ])
 def test_dfa_validation_messages(n, k, delta, message):
     with pytest.raises(DomainError) as err:
         Dfa(n, k, delta)
     assert str(err.value) == message
+
+
+def test_check_word_rejects_bools():
+    d = cerny_automaton(3)
+    assert check_word(d, [1, 0]) == (1, 0)
+    for word in ((True,), (0, False)):
+        with pytest.raises(InvalidWordError) as err:
+            check_word(d, word)
+        assert str(err.value) == f"letter {word[-1]!r} outside alphabet of size 2"
 
 
 def test_word_rendering_round_trip():
@@ -122,6 +135,10 @@ def test_cerny_series_shortest_words():
         assert len(word) == cerny_bound(n)
     for n in (5, 6):
         assert shortest_reset_length(cerny_automaton(n)) == cerny_bound(n)
+    # From n = 13 on the backward side answers.  A forward-only search would
+    # take about 2 s and 343 MB at n = 22, and about 1.4 GB at n = 24.
+    for n in range(2, 23):
+        assert shortest_reset_word(cerny_automaton(n)) == (1,) + ((0,) * (n - 1) + (1,)) * (n - 2)
 
 
 def test_shortest_word_synchronizes_and_is_minimal():
@@ -191,6 +208,44 @@ def test_shortest_against_frozenset_bfs_at_chunk_edges(n, k):
     for d, word in zip(cases, expected):
         assert shortest_reset_word(d, limit) == word, d.delta
         assert shortest_reset_length(d, limit=26) == (None if word is None else len(word)), d.delta
+
+
+# A forward level of C_n holds more than 16 n subsets from n = 13 on, so these
+# searches start the backward side, and it reaches the full set first.  A third
+# letter that repeats another makes the shortest reset words tie.
+@pytest.mark.parametrize("n", [13, 14])
+def test_backward_side_against_frozenset_bfs(n):
+    a, b = cerny_automaton(n).delta
+    for delta in ((b, a), (a, b, a), (a, b, b), (b, a, b)):
+        d = Dfa(n, len(delta), delta)
+        word = frozenset_bfs_shortest(d)
+        assert len(word) == cerny_bound(n)
+        assert shortest_reset_word(d) == word, delta
+        assert shortest_reset_length(d) == len(word)
+
+
+def test_backward_side_runs_dry_on_non_synchronizing_automaton():
+    # C_13 beside a two-state cycle: the forward side passes 16 n subsets, and
+    # the backward side runs out of preimage sets before the forward side ends.
+    a, b = cerny_automaton(13).delta
+    d = Dfa(15, 2, (a + (14, 13), b + (14, 13)))
+    assert frozenset_bfs_shortest(d) is None
+    assert shortest_reset_word(d) is None
+    assert shortest_reset_length(d) is None
+    assert greedy_reset_word(d) is None
+
+
+def test_backward_side_alone_and_interleaved(monkeypatch):
+    # With _RACE = 0 the backward side starts at the first level and grows at
+    # every step, so it answers alone; 1 and 2 interleave the two sides.
+    cases = [d for n, k in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)) for d in all_tables(n, k)]
+    cases += [cerny_automaton(n) for n in range(2, 9)]
+    cases += [random_dfa(8, k, seed) for k in (1, 2, 3) for seed in range(20)]
+    cases += [two_component_dfa(8, 2, seed) for seed in range(3)]
+    expected = [frozenset_bfs_shortest(d) for d in cases]
+    for race in (0, 1, 2):
+        monkeypatch.setattr(rowsync.automaton, "_RACE", race)
+        assert [shortest_reset_word(d) for d in cases] == expected, race
 
 
 def test_pair_criterion_agrees_with_subset_search():

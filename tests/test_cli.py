@@ -503,7 +503,8 @@ def test_enum_jobs_clamped_to_shards_and_cpus(capsys, monkeypatch):
 # check hashes were recorded on the search with one 8-state table per chunk,
 # before it moved to three fixed chunk tables; at 17 to 24 states all three
 # tables hold states.  The one-state hashes were recorded before the probe
-# stopped special-casing n = 1 around its distinctive columns.
+# stopped special-casing n = 1 around its distinctive columns.  The C_20 hash
+# was recorded on the forward-only search, before the backward side joined it.
 @pytest.mark.parametrize("gen,verb,sha256", [
     (["cerny", "--n", "9"], "probe",
      "8c792a3ce67ce4bf814c354d81b95b7b2547afd9b7f450fa0cb8b2aed3a5d372"),
@@ -521,8 +522,10 @@ def test_enum_jobs_clamped_to_shards_and_cpus(capsys, monkeypatch):
      "5acd569d98c2cdaad2ad5478d0d11e29831fa27470cef07748c0006431f6adef"),
     (["random", "--n", "1", "--k", "2", "--seed", "0"], "trace",
      "0a73963d6f0df61f98e432d81eceafaf6ec8428c1e1711f31d5628a2f0c55781"),
+    (["cerny", "--n", "20"], "check",
+     "533646e3c15e7d4a73dbb29a77cc8ab66dbe24393b27116495b49bbd15e43670"),
 ], ids=["probe-cerny9", "probe-random14", "trace-cerny7", "check-cerny17", "check-random24",
-        "check-random22", "probe-random1", "trace-random1"])
+        "check-random22", "probe-random1", "trace-random1", "check-cerny20"])
 def test_report_documents_pinned(tmp_path, capsys, gen, verb, sha256):
     path = str(tmp_path / "dfa.txt")
     assert main(["gen", *gen, "-o", path]) == 0

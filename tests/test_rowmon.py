@@ -39,7 +39,7 @@ def test_validation():
     (3, (0, 1, 3), "targets[2] = 3 outside [0, 3)"),
     (3, (None, 1, 2), "targets[0] = None outside [0, 3)"),
     (3, (0, "1", 2), "targets[1] = '1' outside [0, 3)"),
-    (2, (True, 5), "targets[1] = 5 outside [0, 2)"),
+    (2, (True, 5), "targets[0] = True outside [0, 2)"),
     (2, [1.5, 7], "targets[0] = 1.5 outside [0, 2)"),
     (3, (0, 1), "need 3 row targets, got 2"),
     (3, (0, 1, 2, 0), "need 3 row targets, got 4"),
@@ -51,11 +51,13 @@ def test_validation_messages(n, targets, message):
     assert str(err.value) == message
 
 
-def test_validation_accepts_bools():
-    m = RowMonomialMatrix(2, [True, False])
-    assert m.targets == (True, False)
-    assert [type(t) for t in m.targets] == [bool, bool]
-    assert RowMonomialMatrix(3, (2, True, 0)).targets == (2, 1, 0)
+def test_validation_rejects_bools():
+    # bool is a subclass of int, so an isinstance test would let these through.
+    for targets, message in (([True, False], "targets[0] = True outside [0, 2)"),
+                             ((2, True, 0), "targets[1] = True outside [0, 3)")):
+        with pytest.raises(DomainError) as err:
+            RowMonomialMatrix(len(targets), targets)
+        assert str(err.value) == message
 
 
 def test_identity_is_empty_word():
