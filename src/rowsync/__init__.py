@@ -15,7 +15,7 @@ from .equation import (SolutionSpec, enumerate_solutions, is_solution, leq_q,
 from .errors import CapacityError, DomainError, InvalidWordError, ParseError, RowsyncError
 from .exactlin import (RationalBasis, SumConditionVerdict, all_row_monomial,
                        check_sum_conditions, decompose_vij, express, express_vectors,
-                       flatten, matrix_rank, span_dimension, vij_basis)
+                       flatten, matrix_rank, span_dimension, units, vij_basis)
 from .probe import (BoundVerdict, MatchingReport, PrefixRecord, PrefixTrace, ProbeReport,
                     allocation_probe, bound_check, maximum_matching, prefix_trace)
 from .rowmon import (RowMonomialMatrix, column_rows, column_unit_counts, identity,

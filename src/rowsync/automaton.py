@@ -25,7 +25,7 @@ import re
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import accumulate, combinations, combinations_with_replacement, permutations, product
 from math import factorial, prod
 from typing import Sequence
 
@@ -89,6 +89,15 @@ def format_word(word: Sequence[int], k: int) -> str:
     if k <= len(_ALPHA):
         return "".join(_ALPHA[a] for a in word)
     return ",".join(str(a) for a in word)
+
+
+def format_prefixes(word: Sequence[int], k: int) -> list[str]:
+    """format_word of each nonempty prefix, shortest first, sliced from one rendering."""
+    text = format_word(word, k)
+    if k <= len(_ALPHA):
+        return [text[:i] for i in range(1, len(word) + 1)]
+    # Letter i's digits end one short of the i-th cumulative width of digits plus a comma.
+    return [text[:end - 1] for end in accumulate(len(str(a)) + 1 for a in word)]
 
 
 def parse_word(text: str, k: int) -> Word:
@@ -451,6 +460,12 @@ def _enum_units(n: int, k: int, classes, class_id, maps, picked):
         conjugates = _conjugates(f, relabellings)
         least = min(conjugates)
         centre = [r for r, j in zip(relabellings, conjugates) if j == least]
+        if len(centre) == 1:
+            # C(f) is the identity alone, so every orbit is its map alone.
+            for j, g in enumerate(maps):
+                if class_id[j] >= c:
+                    yield (f, g), (c, class_id[j]), size
+            continue
         reached = bytearray(len(maps))
         for j, g in enumerate(maps):
             if class_id[j] < c or reached[j]:

@@ -19,8 +19,8 @@ from multiprocessing import Pool
 
 from .automaton import (DEFAULT_ENUM_BUDGET, EXACT_SEARCH_LIMIT, Dfa, _enum_shard_stats,
                         cerny_automaton, cerny_bound, conjugacy_classes, count_dfas, cubic_bound,
-                        format_word, greedy_reset_word, is_strongly_connected, parse_word,
-                        random_dfa, read_dfa, shortest_reset_word, to_dot, write_dfa_text)
+                        format_prefixes, format_word, greedy_reset_word, is_strongly_connected,
+                        parse_word, random_dfa, read_dfa, shortest_reset_word, to_dot, write_dfa_text)
 from .errors import CapacityError, RowsyncError
 from .probe import allocation_probe, prefix_trace
 from .rowmon import is_permutation, matrix_of_word, nonzero_columns, rank
@@ -220,8 +220,8 @@ def _run_trace(config: RunConfig) -> RunResult:
     trace = prefix_trace(dfa, word)
     report = {"word": format_word(word, dfa.k), "records": trace.to_json(dfa.k)}
     lines = [f"{'len':>4}  {'word':<{max(4, len(word))}}  |R|  dim"]
-    for r in trace.records:
-        lines.append(f"{r.length:>4}  {format_word(r.word, dfa.k):<{max(4, len(word))}}  {r.r_size:>3}  {r.dimension:>3}")
+    for r, text in zip(trace.records, format_prefixes(word, dfa.k)):
+        lines.append(f"{r.length:>4}  {text:<{max(4, len(word))}}  {r.r_size:>3}  {r.dimension:>3}")
     return RunResult(0, _document(config, report), "\n".join(lines) + "\n")
 
 

@@ -1,15 +1,19 @@
 """Exact rational linear algebra over flattened matrices.
 
-Matrices enter as row-major 0/1 vectors of length n*n.  One echelon
-basis, RationalBasis, answers every rank, membership and coefficient
-question with one fraction-free elimination step on sparse integer rows,
-{position: nonzero value}: cross-multiply to clear a pivot entry, divide out
-the gcd and make the leading entry positive.  It keeps its rows keyed by
-pivot, and a flattened row monomial matrix has only n units among its n*n
-slots, so a step costs the nonzeros of two rows rather than their width.
-express_vectors tags each vector with a unit of its own, so the target's
-residue carries its coefficients; rationals appear only when it reads them
-off.  No floating point anywhere, so ranks, span membership and
+A matrix enters the basis as its n unit positions, {i*n + t: 1} from
+units(); flatten() gives the dense row-major n*n vector that combine,
+express and decompose_vij read.  One echelon basis, RationalBasis, answers
+every rank, membership and coefficient question with one fraction-free
+elimination step on sparse integer rows, {position: nonzero value}:
+cross-multiply to clear a pivot entry.  A step scales the residue, and then
+divides out its gcd, only when the stored row's leading entry is not 1; a
+kept row is divided by its gcd, with its leading entry made positive, once,
+when it is stored, and not at all when that entry is 1.  The basis keeps its
+rows keyed by pivot, and a row monomial matrix has only n units among its
+n*n slots, so a step costs the nonzeros of two rows rather than their
+width.  express_vectors tags each vector with a unit of its own, so the
+target's residue carries its coefficients; rationals appear only when it
+reads them off.  No floating point anywhere, so ranks, span membership and
 coefficients are exact.
 """
 
@@ -40,11 +44,18 @@ def flatten(m: RowMonomialMatrix) -> Vector:
     return tuple(vec)
 
 
+def units(m: RowMonomialMatrix) -> Row:
+    """The n unit positions of flatten(m), each mapped to 1."""
+    n = m.n
+    return {i * n + t: 1 for i, t in enumerate(m.targets)}
+
+
 def _eliminate(v: Row, row: Row, pivot: int) -> Row:
     """Clear v[pivot] against row (nonzero there) by cross-multiplying.
 
-    v is consumed.  The result is divided by its gcd, with its leading
-    entry, the one at the least position, made positive.
+    v is consumed.  Only when row's leading entry, at pivot, is not 1 is v
+    scaled by it, and the result then divided by its gcd; the sign is left
+    to _store.
     """
     c = v[pivot]
     lead = row[pivot]
@@ -56,11 +67,10 @@ def _eliminate(v: Row, row: Row, pivot: int) -> Row:
             v[p] = x
         else:
             del v[p]
-    g = gcd(*v.values())
-    if g > 1:
-        v = {p: x // g for p, x in v.items()}
-    if v and v[min(v)] < 0:
-        v = {p: -x for p, x in v.items()}
+    if lead != 1:
+        g = gcd(*v.values())
+        if g > 1:
+            v = {p: x // g for p, x in v.items()}
     return v
 
 
@@ -84,10 +94,13 @@ class RationalBasis:
     def dimension(self) -> int:
         return len(self._pivots)
 
-    def _residue(self, vec: Sequence[int]) -> Row:
-        if len(vec) != self.ambient:
-            raise DomainError(f"vector length {len(vec)} does not match ambient {self.ambient}")
-        return self._reduce({i: vec[i] for i in compress(range(len(vec)), vec)})
+    def _residue(self, row: Row) -> Row:
+        """A copy of row without its zeros, reduced; row is left as it was."""
+        if row:
+            low, high = min(row), max(row)
+            if low < 0 or high >= self.ambient:
+                raise DomainError(f"position {low if low < 0 else high} outside [0, {self.ambient})")
+        return self._reduce({p: x for p, x in row.items() if x})
 
     def _reduce(self, v: Row) -> Row:
         """Sparse v less its components along the stored rows, in pivot order."""
@@ -100,38 +113,50 @@ class RationalBasis:
         return v
 
     def _store(self, residue: Row) -> None:
-        """Keep a nonzero residue as the echelon row of its least position."""
+        """Keep a nonzero residue as the echelon row of its least position.
+
+        The row is divided by its gcd, with its leading entry made positive,
+        unless that entry is already 1.
+        """
         pivot = min(residue)
+        lead = residue[pivot]
+        if lead != 1:
+            g = gcd(*residue.values())
+            if lead < 0:
+                g = -g
+            if g != 1:
+                residue = {p: x // g for p, x in residue.items()}
         insort(self._pivots, pivot)
         self._rows[pivot] = residue
 
-    def insert(self, vec: Sequence[int]) -> bool:
-        """Add a vector; True iff it was independent of the current span."""
-        residue = self._residue(vec)
+    def insert(self, row: Row) -> bool:
+        """Add a sparse row, {position: value}; True iff it was independent of the span."""
+        residue = self._residue(row)
         if not residue:
             return False
         self._store(residue)
         return True
 
-    def contains(self, vec: Sequence[int]) -> bool:
-        return not self._residue(vec)
+    def contains(self, row: Row) -> bool:
+        """Whether the sparse row, {position: value}, lies in the span."""
+        return not self._residue(row)
 
 
 def matrix_rank(m: RowMonomialMatrix) -> int:
     """Exact rank of the n x n grid, by elimination over its rows."""
     basis = RationalBasis(m.n)
-    for i in range(m.n):
-        basis.insert(m.row(i))
+    for t in m.targets:
+        basis.insert({t: 1})
     return basis.dimension
 
 
 def span_dimension(matrices: Iterable[RowMonomialMatrix]) -> int:
-    """Dimension of the span of flattened matrices; 0 for an empty family."""
+    """Dimension of the span of the matrices' unit positions; 0 for an empty family."""
     basis: RationalBasis | None = None
     for m in matrices:
         if basis is None:
             basis = RationalBasis(m.n * m.n)
-        basis.insert(flatten(m))
+        basis.insert(units(m))
     return 0 if basis is None else basis.dimension
 
 

@@ -14,11 +14,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automaton import (Dfa, Word, cerny_bound, check_word, format_word,
+from .automaton import (Dfa, Word, cerny_bound, check_word, format_prefixes, format_word,
                         shortest_reset_length, EXACT_SEARCH_LIMIT)
 from .equation import is_solution, sink_matrix
 from .errors import CapacityError, DomainError
-from .exactlin import RationalBasis, flatten, span_dimension
+from .exactlin import RationalBasis, span_dimension, units
 from .rowmon import RowMonomialMatrix, nonzero_columns
 
 __all__ = [
@@ -43,10 +43,10 @@ class PrefixTrace:
     records: tuple[PrefixRecord, ...]
 
     def to_json(self, k: int) -> list[dict]:
+        words = format_prefixes(self.records[-1].word, k) if self.records else []
         return [
-            {"length": r.length, "word": format_word(r.word, k),
-             "r_size": r.r_size, "dimension": r.dimension}
-            for r in self.records
+            {"length": r.length, "word": word, "r_size": r.r_size, "dimension": r.dimension}
+            for r, word in zip(self.records, words)
         ]
 
 
@@ -80,7 +80,7 @@ def _trace(n: int, w: Word, matrices: Sequence[RowMonomialMatrix]) -> PrefixTrac
     basis = RationalBasis(n * n)
     records = []
     for i, m in enumerate(matrices, start=1):
-        basis.insert(flatten(m))
+        basis.insert(units(m))
         records.append(PrefixRecord(length=i, word=w[:i],
                                     r_size=len(nonzero_columns(m)),
                                     dimension=basis.dimension))

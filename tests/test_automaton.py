@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 
 import rowsync.automaton
 from rowsync.automaton import (EXACT_SEARCH_LIMIT, Dfa, cerny_automaton, cerny_bound,
-                               check_word, conjugacy_classes, cubic_bound, format_word,
-                               greedy_reset_word, is_strongly_connected, is_synchronizing, parse_word,
-                               random_dfa, read_dfa_text, shortest_reset_length, shortest_reset_word,
-                               to_dot, write_dfa_text)
+                               check_word, conjugacy_classes, cubic_bound, format_prefixes,
+                               format_word, greedy_reset_word, is_strongly_connected,
+                               is_synchronizing, parse_word, random_dfa, read_dfa_text,
+                               shortest_reset_length, shortest_reset_word, to_dot, write_dfa_text)
 from rowsync.cli import RunConfig, run
 from rowsync.errors import CapacityError, DomainError, InvalidWordError, ParseError
 
@@ -463,6 +463,13 @@ def test_parse_word_round_trips_or_raises_invalid_word(text, k):
         return
     assert all(0 <= a < k for a in word)
     assert parse_word(format_word(word, k), k) == word
+
+
+@given(st.integers(1, 40).flatmap(lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), max_size=14))))
+@settings(max_examples=150, deadline=None)
+def test_format_prefixes_equals_format_word_of_each_prefix(case):
+    k, word = case
+    assert format_prefixes(word, k) == [format_word(word[:i], k) for i in range(1, len(word) + 1)]
 
 
 def test_parse_breaks_lines_only_at_newlines():

@@ -505,6 +505,9 @@ def test_enum_jobs_clamped_to_shards_and_cpus(capsys, monkeypatch):
 # tables hold states.  The one-state hashes were recorded before the probe
 # stopped special-casing n = 1 around its distinctive columns.  The C_20 hash
 # was recorded on the forward-only search, before the backward side joined it.
+# The C_18 probe, whose family-rank check holds echelon entries up to 17, and
+# the C_15 trace were recorded while matrices still entered the basis as dense
+# n*n vectors and every elimination step divided out a gcd.
 @pytest.mark.parametrize("gen,verb,sha256", [
     (["cerny", "--n", "9"], "probe",
      "8c792a3ce67ce4bf814c354d81b95b7b2547afd9b7f450fa0cb8b2aed3a5d372"),
@@ -524,8 +527,13 @@ def test_enum_jobs_clamped_to_shards_and_cpus(capsys, monkeypatch):
      "0a73963d6f0df61f98e432d81eceafaf6ec8428c1e1711f31d5628a2f0c55781"),
     (["cerny", "--n", "20"], "check",
      "533646e3c15e7d4a73dbb29a77cc8ab66dbe24393b27116495b49bbd15e43670"),
+    (["cerny", "--n", "18"], "probe",
+     "115cfdd9896f559f54a5e3e1a8e5bcbda3881a8e091e0cf8cba0947b8b8b6c53"),
+    (["cerny", "--n", "15"], "trace",
+     "6ca191da7ad8a9d61fbd6ce1df3bb2e1395d74650eb9246e7ea80259c73b85f6"),
 ], ids=["probe-cerny9", "probe-random14", "trace-cerny7", "check-cerny17", "check-random24",
-        "check-random22", "probe-random1", "trace-random1", "check-cerny20"])
+        "check-random22", "probe-random1", "trace-random1", "check-cerny20", "probe-cerny18",
+        "trace-cerny15"])
 def test_report_documents_pinned(tmp_path, capsys, gen, verb, sha256):
     path = str(tmp_path / "dfa.txt")
     assert main(["gen", *gen, "-o", path]) == 0
@@ -533,3 +541,27 @@ def test_report_documents_pinned(tmp_path, capsys, gen, verb, sha256):
     assert code == 0
     report = json.loads(out)["report"]
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == sha256
+
+
+def test_trace_prefixes_past_26_letters(tmp_path, capsys):
+    # Letters 11 and 12 act as C_3's rotation and merge; the other 25 fix
+    # every state.  With 27 letters words render as comma-separated indices,
+    # and the one-letter prefix "12" has no comma.  Recorded before the
+    # prefixes were sliced from one rendering of the word.
+    rows = [" ".join(map(str, range(3)))] * 27
+    rows[11], rows[12] = "1 2 0", "1 1 2"
+    path = tmp_path / "k27.txt"
+    path.write_text("3 27\n" + "\n".join(rows) + "\n")
+    code, out = run_main(["trace", str(path), "--json"], capsys)
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert [r["word"] for r in report["records"]] == ["12", "12,11", "12,11,11", "12,11,11,12"]
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == \
+        "2fa2dddc0fa171732fb4ffc8d9ccd874b16a698f13bc634046c517d102023429"
+    code, out = run_main(["trace", str(path)], capsys)
+    assert code == 0
+    assert out == (" len  word  |R|  dim\n"
+                   "   1  12      2    1\n"
+                   "   2  12,11    2    2\n"
+                   "   3  12,11,11    2    3\n"
+                   "   4  12,11,11,12    1    4\n")

@@ -7,6 +7,7 @@ no code.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,13 @@ from rowsync.errors import DomainError
 from rowsync.exactlin import (RationalBasis, all_row_monomial, check_sum_conditions, combine,
                               common_column_span_dimension, decompose_vij, express,
                               express_vectors, flatten, matrix_rank, sink_family_dimension,
-                              span_dimension, two_column_span_dimension, vij_basis)
-from rowsync.rowmon import RowMonomialMatrix, identity, rank
+                              span_dimension, two_column_span_dimension, units, vij_basis)
+from rowsync.rowmon import RowMonomialMatrix, identity, multiply, rank
+
+
+def sparse(vec):
+    """The basis's {position: value} form of a dense vector, zeros kept."""
+    return dict(enumerate(vec))
 
 
 def oracle_rank(rows):
@@ -131,23 +137,125 @@ def test_flatten_positions():
 
 def test_basis_insert_and_membership():
     basis = RationalBasis(4)
-    assert basis.insert((1, 0, 0, 0))
-    assert basis.insert((1, 1, 0, 0))
-    assert not basis.insert((2, 1, 0, 0))
+    assert basis.insert(sparse((1, 0, 0, 0)))
+    assert basis.insert(sparse((1, 1, 0, 0)))
+    assert not basis.insert(sparse((2, 1, 0, 0)))
     assert basis.dimension == 2
-    assert basis.contains((0, 3, 0, 0))
-    assert not basis.contains((0, 0, 1, 0))
-    with pytest.raises(DomainError):
-        basis.insert((1, 0, 0))
+    assert basis.contains(sparse((0, 3, 0, 0)))
+    assert not basis.contains(sparse((0, 0, 1, 0)))
+    with pytest.raises(DomainError, match=r"position 4 outside \[0, 4\)"):
+        basis.insert({4: 1})
 
 
 def test_basis_insert_matrices():
     basis = RationalBasis(9)
-    grew = [basis.insert(flatten(m)) for m in all_row_monomial(3)]
+    grew = [basis.insert(sparse(flatten(m))) for m in all_row_monomial(3)]
     assert basis.dimension == 7
     assert sum(grew) == 7
     with pytest.raises(DomainError):
-        RationalBasis(4).insert(flatten(identity(3)))
+        RationalBasis(4).insert(sparse(flatten(identity(3))))
+
+
+def test_units_are_the_nonzero_positions_of_flatten():
+    for m in all_row_monomial(3):
+        assert units(m) == {p: v for p, v in enumerate(flatten(m)) if v}
+
+
+def test_basis_rejects_positions_outside_ambient():
+    basis = RationalBasis(9)
+    for row in ({9: 1}, {0: 1, 12: 0}, {-1: 1}):
+        with pytest.raises(DomainError, match="outside"):
+            basis.insert(row)
+        with pytest.raises(DomainError, match="outside"):
+            basis.contains(row)
+    assert basis.dimension == 0
+
+
+def test_basis_leaves_the_callers_row_alone():
+    basis = RationalBasis(4)
+    assert not basis.insert({0: 0})
+    assert basis.dimension == 0
+    first = {0: 2, 1: -4, 3: 0}
+    assert basis.insert(first)
+    assert first == {0: 2, 1: -4, 3: 0}
+    second = {0: 3, 1: 1, 2: 5}
+    assert basis.insert(second)
+    assert second == {0: 3, 1: 1, 2: 5}
+    probe = {0: 1, 1: -2}
+    assert basis.contains(probe)
+    assert probe == {0: 1, 1: -2}
+    assert_rows_normalized(basis)
+
+
+def assert_rows_normalized(basis):
+    """Every stored row is primitive, with a positive leading entry at its pivot."""
+    for pivot, row in basis._rows.items():
+        assert pivot == min(row) and 0 not in row.values()
+        assert row[pivot] > 0
+        assert gcd(*row.values()) == 1
+
+
+def oracle_dimensions(vectors):
+    """Span dimension after each vector, by a dense Fraction elimination kept here.
+
+    Each kept vector is scaled to have 1 at its pivot, the first nonzero
+    column; a new vector is reduced against every kept one in turn.
+    """
+    kept = []
+    dims = []
+    for vec in vectors:
+        v = [Fraction(x) for x in vec]
+        for pivot, row in kept:
+            if v[pivot]:
+                f = v[pivot]
+                v = [a - f * b for a, b in zip(v, row)]
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is not None:
+            kept.append((lead, [x / v[lead] for x in v]))
+        dims.append(len(kept))
+    return dims
+
+
+def row_monomial_family(rng, n):
+    """Seeded row monomial matrices with repeats, products and swapped pairs among them.
+
+    A swapped pair of m and m2 exchanges the targets of one row, so
+    m + m2 - swap(m) = swap(m2) is dependent without being a repeat.
+    """
+    columns = rng.sample(range(n), rng.randint(1, n))
+    family = [RowMonomialMatrix(n, tuple(rng.choice(columns) for _ in range(n)))]
+    for _ in range(rng.randint(n, 3 * n)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            family.append(RowMonomialMatrix(n, tuple(rng.randrange(n) for _ in range(n))))
+        elif kind == 1:
+            family.append(rng.choice(family))
+        elif kind == 2:
+            family.append(multiply(rng.choice(family), rng.choice(family)))
+        else:
+            a, b = rng.choice(family).targets, rng.choice(family).targets
+            i = rng.randrange(n)
+            family.append(RowMonomialMatrix(n, a[:i] + (b[i],) + a[i + 1:]))
+            family.append(RowMonomialMatrix(n, b[:i] + (a[i],) + b[i + 1:]))
+            family.append(RowMonomialMatrix(n, a))
+            family.append(RowMonomialMatrix(n, b))
+    return family
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_units_dimensions_against_dense_oracle(n):
+    rng = random.Random(f"units-{n}")
+    for _ in range(12):
+        family = row_monomial_family(rng, n)
+        basis = RationalBasis(n * n)
+        dims = []
+        for m in family:
+            basis.insert(units(m))
+            dims.append(basis.dimension)
+        assert dims == oracle_dimensions([flatten(m) for m in family])
+        assert dims[-1] == span_dimension(family)
+        assert_rows_normalized(basis)
+        assert all(basis.contains(units(m)) for m in family)
 
 
 def test_rank_against_oracle_on_random_integer_matrices():
@@ -158,7 +266,7 @@ def test_rank_against_oracle_on_random_integer_matrices():
         rows = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(height)]
         basis = RationalBasis(width)
         for row in rows:
-            basis.insert(row)
+            basis.insert(sparse(row))
         assert basis.dimension == oracle_rank(rows)
 
 
@@ -344,10 +452,10 @@ def test_column_family_dimensions_frozen():
 def test_basis_against_oracle(rows):
     basis = RationalBasis(5)
     for row in rows:
-        basis.insert(row)
+        basis.insert(sparse(row))
     assert basis.dimension == oracle_rank(rows)
     for row in rows:
-        assert basis.contains(row)
+        assert basis.contains(sparse(row))
     assert basis.dimension <= 5
 
 
@@ -357,8 +465,8 @@ def test_insert_is_idempotent(n, data):
     targets = tuple(data.draw(st.integers(0, n - 1)) for _ in range(n))
     m = RowMonomialMatrix(n, targets)
     basis = RationalBasis(n * n)
-    assert basis.insert(flatten(m))
-    assert not basis.insert(flatten(m))
+    assert basis.insert(sparse(flatten(m)))
+    assert not basis.insert(sparse(flatten(m)))
     assert basis.dimension == 1
 
 
@@ -382,8 +490,9 @@ def test_sparse_basis_against_oracle(case):
     before = 0
     for i, row in enumerate(rows, start=1):
         want = oracle_rank(rows[:i])
-        grew = basis.insert(row)
+        grew = basis.insert(sparse(row))
         assert grew == (want > before)
         assert basis.dimension == want
         before = want
-    assert all(basis.contains(row) for row in rows)
+    assert all(basis.contains(sparse(row)) for row in rows)
+    assert_rows_normalized(basis)
