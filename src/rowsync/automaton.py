@@ -592,9 +592,9 @@ def write_dfa(dfa: Dfa, path):
         fh.write(write_dfa_text(dfa))
 
 
-def to_dot(dfa: Dfa, name: str = "automaton") -> str:
+def to_dot(dfa: Dfa) -> str:
     """GraphViz rendering; parallel edges are folded into one labeled edge."""
-    lines = [f'digraph "{name}" {{', "  rankdir=LR;", "  node [shape=circle];"]
+    lines = ['digraph "automaton" {', "  rankdir=LR;", "  node [shape=circle];"]
     for q in range(dfa.n):
         lines.append(f'  q{q} [label="{q}"];')
     for q in range(dfa.n):

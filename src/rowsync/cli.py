@@ -19,7 +19,7 @@ from multiprocessing import Pool
 
 from .automaton import (DEFAULT_ENUM_BUDGET, EXACT_SEARCH_LIMIT, Dfa, _enum_shard_stats,
                         cerny_automaton, cerny_bound, conjugacy_classes, count_dfas, cubic_bound,
-                        format_prefixes, format_word, greedy_reset_word, is_strongly_connected,
+                        format_word, greedy_reset_word, is_strongly_connected,
                         parse_word, random_dfa, read_dfa, shortest_reset_word, to_dot, write_dfa_text)
 from .errors import CapacityError, RowsyncError
 from .probe import allocation_probe, prefix_trace
@@ -219,9 +219,10 @@ def _run_trace(config: RunConfig) -> RunResult:
     word = _word_or_shortest(config, dfa)
     trace = prefix_trace(dfa, word)
     report = {"word": format_word(word, dfa.k), "records": trace.to_json(dfa.k)}
-    lines = [f"{'len':>4}  {'word':<{max(4, len(word))}}  |R|  dim"]
-    for r, text in zip(trace.records, format_prefixes(word, dfa.k)):
-        lines.append(f"{r.length:>4}  {text:<{max(4, len(word))}}  {r.r_size:>3}  {r.dimension:>3}")
+    width = max(4, len(report["word"]))
+    lines = [f"{'len':>4}  {'word':<{width}}  |R|  dim"]
+    for r in report["records"]:
+        lines.append(f"{r['length']:>4}  {r['word']:<{width}}  {r['r_size']:>3}  {r['dimension']:>3}")
     return RunResult(0, _document(config, report), "\n".join(lines) + "\n")
 
 
@@ -241,7 +242,7 @@ def _run_probe(config: RunConfig) -> RunResult:
         lines.append(f"solutions verified: {'yes' if rep.solutions_ok else 'NO'}; "
                      f"family rank {rep.independence_rank} of {rep.independence_expected} "
                      f"({'independent' if rep.independence_ok else 'DEPENDENT'})")
-    bad = sum(1 for v in rep.prefix_column_verdicts if not v.holds)
+    bad = report["corollary1_counterexamples"]
     lines.append(f"prefix-column claim: {len(rep.prefix_column_verdicts) - bad} of "
                  f"{len(rep.prefix_column_verdicts)} prefixes keep column {rep.q} nonzero"
                  + (f" ({bad} counterexamples)" if bad else ""))

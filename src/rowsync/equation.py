@@ -100,18 +100,17 @@ def leq_q(a: RowMonomialMatrix, b: RowMonomialMatrix, q: int = 0) -> bool:
 
 
 def enumerate_solutions(m_u: RowMonomialMatrix, q: int = 0,
-                        restriction: Sequence[int] | None = None,
-                        budget: int = DEFAULT_SOLUTION_BUDGET) -> Iterator[RowMonomialMatrix]:
+                        restriction: Sequence[int] | None = None) -> Iterator[RowMonomialMatrix]:
     """All solutions, lexicographic in the free rows' column choices.
 
     Free rows run in increasing row order, each over the allowed columns in
     increasing order.  Raises CapacityError before yielding anything if the
-    family is larger than the budget.
+    family is larger than DEFAULT_SOLUTION_BUDGET.
     """
     spec = solution_spec(m_u, q, restriction)
-    if spec.solution_count > budget:
+    if spec.solution_count > DEFAULT_SOLUTION_BUDGET:
         raise CapacityError(
-            f"{spec.solution_count} solutions exceed the budget of {budget}; raise budget or restrict columns"
+            f"{spec.solution_count} solutions exceed the budget of {DEFAULT_SOLUTION_BUDGET}; restrict columns"
         )
     base = [spec.q] * spec.n
     for choice in product(spec.allowed_columns, repeat=len(spec.free_rows)):

@@ -2,10 +2,11 @@
 
 Nothing in here presumes the procedure works: every step measures what
 actually happens and the report carries plain verdicts.  The probe takes a
-synchronizing word, walks its prefixes, assigns each prefix matrix a
-distinctive cell through an exact maximum bipartite matching, builds the
-corresponding solutions of the sink equation and then re-checks rank and
-solution claims with exact arithmetic.
+synchronizing word and walks its prefixes once: the trace, the matching and
+the prefix-column verdicts read each prefix's matrix and image from that
+walk.  It assigns each prefix matrix a distinctive cell through an exact
+maximum bipartite matching, builds the corresponding solutions of the sink
+equation and then re-checks rank and solution claims with exact arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .automaton import (Dfa, Word, cerny_bound, check_word, format_prefixes, for
 from .equation import is_solution, sink_matrix
 from .errors import CapacityError, DomainError
 from .exactlin import RationalBasis, span_dimension, units
-from .rowmon import RowMonomialMatrix, nonzero_columns
+from .rowmon import RowMonomialMatrix
 
 __all__ = [
     "PrefixRecord", "PrefixTrace", "prefix_trace", "maximum_matching",
@@ -33,39 +34,42 @@ class PrefixRecord:
     """One nonempty prefix: its matrix rank and the span dimension so far."""
 
     length: int
-    word: Word
     r_size: int
     dimension: int
 
 
 @dataclass(frozen=True)
 class PrefixTrace:
+    """The reset word, held once, and one record per nonempty prefix of it."""
+
+    word: Word
     records: tuple[PrefixRecord, ...]
 
     def to_json(self, k: int) -> list[dict]:
-        words = format_prefixes(self.records[-1].word, k) if self.records else []
         return [
-            {"length": r.length, "word": word, "r_size": r.r_size, "dimension": r.dimension}
-            for r, word in zip(self.records, words)
+            {"length": r.length, "word": text, "r_size": r.r_size, "dimension": r.dimension}
+            for r, text in zip(self.records, format_prefixes(self.word, k))
         ]
 
 
-def _walk(dfa: Dfa, word: Sequence[int], q: int | None = None) -> tuple[Word, int, list[RowMonomialMatrix]]:
-    """Check a reset word and build the matrices of its nonempty prefixes.
+def _walk(dfa: Dfa, word: Sequence[int], q: int | None = None
+          ) -> tuple[Word, int, list[RowMonomialMatrix], list[frozenset[int]]]:
+    """Check a reset word and build the matrix and image of each nonempty prefix.
 
-    One walk along the word gives every prefix matrix, shortest first, and
-    the state the word synchronizes to; that state must equal q when q is
-    given.
+    One walk along the word gives every prefix matrix, shortest first, next
+    to its image (the set of its nonzero columns), and the state the word
+    synchronizes to; that state must equal q when q is given.
     """
     w = check_word(dfa, word)
     n = dfa.n
     targets = tuple(range(n))
-    matrices = []
+    matrices, images = [], []
     for a in w:
         row = dfa.delta[a]
         targets = tuple([row[t] for t in targets])
         matrices.append(RowMonomialMatrix(n=n, targets=targets))
-    image = set(targets)
+        images.append(frozenset(targets))
+    image = images[-1] if images else frozenset(targets)
     if len(image) != 1:
         raise DomainError(
             f"word {format_word(w, dfa.k)!r} does not synchronize: image has {len(image)} states"
@@ -73,18 +77,17 @@ def _walk(dfa: Dfa, word: Sequence[int], q: int | None = None) -> tuple[Word, in
     sink = targets[0]
     if q is not None and q != sink:
         raise DomainError(f"word synchronizes to state {sink}, not to q = {q}")
-    return w, sink, matrices
+    return w, sink, matrices, images
 
 
-def _trace(n: int, w: Word, matrices: Sequence[RowMonomialMatrix]) -> PrefixTrace:
+def _trace(n: int, w: Word, matrices: Sequence[RowMonomialMatrix],
+           images: Sequence[frozenset[int]]) -> PrefixTrace:
     basis = RationalBasis(n * n)
     records = []
-    for i, m in enumerate(matrices, start=1):
+    for i, (m, image) in enumerate(zip(matrices, images), start=1):
         basis.insert(units(m))
-        records.append(PrefixRecord(length=i, word=w[:i],
-                                    r_size=len(nonzero_columns(m)),
-                                    dimension=basis.dimension))
-    return PrefixTrace(records=tuple(records))
+        records.append(PrefixRecord(length=i, r_size=len(image), dimension=basis.dimension))
+    return PrefixTrace(word=w, records=tuple(records))
 
 
 def prefix_trace(dfa: Dfa, word: Sequence[int]) -> PrefixTrace:
@@ -94,8 +97,8 @@ def prefix_trace(dfa: Dfa, word: Sequence[int]) -> PrefixTrace:
     and the span dimension never drops; both facts are recorded here and
     asserted elsewhere.
     """
-    w, _, matrices = _walk(dfa, word)
-    return _trace(dfa.n, w, matrices)
+    w, _, matrices, images = _walk(dfa, word)
+    return _trace(dfa.n, w, matrices, images)
 
 
 def maximum_matching(adjacency: Sequence[Sequence[int]], right_size: int) -> list[int | None]:
@@ -205,7 +208,6 @@ class ProbeReport:
     """Everything one probe run measured.  See allocation_probe."""
 
     dfa: Dfa
-    reset_word: Word
     q: int
     trace: PrefixTrace
     matching: MatchingReport
@@ -222,7 +224,7 @@ class ProbeReport:
         return {
             "automaton": {"n": self.dfa.n, "k": self.dfa.k,
                           "delta": [list(row) for row in self.dfa.delta]},
-            "reset_word": format_word(self.reset_word, self.dfa.k),
+            "reset_word": format_word(self.trace.word, self.dfa.k),
             "q": self.q,
             "prefix_trace": self.trace.to_json(self.dfa.k),
             "matching": self.matching.to_json(),
@@ -250,14 +252,14 @@ def _distinctive_columns(n: int, q: int) -> tuple[int, ...]:
     return tuple(c for c in range(n) if c != q and c != spare)
 
 
-def _column_verdicts(matrices: Sequence[RowMonomialMatrix], sink: int) -> tuple[PrefixColumnVerdict, ...]:
+def _column_verdicts(images: Sequence[frozenset[int]], sink: int) -> tuple[PrefixColumnVerdict, ...]:
     """Whether each nonempty prefix matrix keeps column sink nonzero.
 
     Verdicts are reported, not asserted; a False entry is a counterexample
     to the prefix-column claim.
     """
-    return tuple(PrefixColumnVerdict(length=i, holds=sink in nonzero_columns(m))
-                 for i, m in enumerate(matrices, start=1))
+    return tuple(PrefixColumnVerdict(length=i, holds=sink in image)
+                 for i, image in enumerate(images, start=1))
 
 
 def bound_check(dfa: Dfa, limit: int = EXACT_SEARCH_LIMIT, shortest: int | None = None) -> BoundVerdict:
@@ -297,11 +299,11 @@ def allocation_probe(dfa: Dfa, word: Sequence[int], q: int | None = None,
     error.  q defaults to the state the word actually synchronizes to.
     limit and shortest are passed to bound_check.
     """
-    w, sink, matrices = _walk(dfa, word, q)
+    w, sink, matrices, images = _walk(dfa, word, q)
     n = dfa.n
     notes: list[str] = ["empty prefix excluded by convention"]
 
-    trace = _trace(n, w, matrices)
+    trace = _trace(n, w, matrices, images)
     records = trace.records
 
     cell_columns = _distinctive_columns(n, sink)
@@ -316,23 +318,16 @@ def allocation_probe(dfa: Dfa, word: Sequence[int], q: int | None = None,
     cells = [(r, c) for c in cell_columns for r in range(n)]
     starts = range(0, len(cells), n)
 
-    order = sorted(range(len(collected)), key=lambda j: (-records[collected[j]].r_size, j))
+    # Image sizes never grow along the word, so in prefix order the prefixes
+    # with larger images are offered to the matching first.
     adjacency = []
-    for j in order:
-        image = nonzero_columns(matrices[collected[j]])
-        free = [r for r in range(n) if r not in image]
+    for i in collected:
+        free = [r for r in range(n) if r not in images[i]]
         adjacency.append([start + r for start in starts for r in free])
     match_left = maximum_matching(adjacency, len(cells))
 
-    assigned: dict[int, tuple[int, int]] = {}
-    for pos, j in enumerate(order):
-        v = match_left[pos]
-        if v is not None:
-            assigned[collected[j]] = cells[v]
-    assignments = tuple(
-        (records[i].length, assigned[i][0], assigned[i][1]) if i in assigned else None
-        for i in collected
-    )
+    assigned = {i: cells[v] for i, v in zip(collected, match_left) if v is not None}
+    assignments = tuple((records[i].length, *assigned[i]) if i in assigned else None for i in collected)
     unmatched = tuple(records[i].length for i in collected if i not in assigned)
     success = not unmatched
     matching = MatchingReport(success=success,
@@ -369,14 +364,14 @@ def allocation_probe(dfa: Dfa, word: Sequence[int], q: int | None = None,
         if not independence_ok:
             notes.append("constructed family is linearly dependent")
 
-    verdicts = _column_verdicts(matrices, sink)
+    verdicts = _column_verdicts(images, sink)
     try:
         bound = bound_check(dfa, limit, shortest)
     except CapacityError:
         bound = BoundVerdict(n=n, bound=cerny_bound(n), length=None, status="skipped-capacity")
         notes.append("exact bound check skipped: state count above the exact-search limit")
 
-    return ProbeReport(dfa=dfa, reset_word=w, q=sink, trace=trace, matching=matching,
+    return ProbeReport(dfa=dfa, q=sink, trace=trace, matching=matching,
                        solutions=solutions, solutions_ok=solutions_ok,
                        independence_rank=independence_rank,
                        independence_expected=independence_expected,

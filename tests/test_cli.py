@@ -13,6 +13,7 @@ from rowsync.cli import RunConfig, build_parser, config_from_args, main, run
 from rowsync.errors import ParseError
 
 CERNY3_TEXT = "3 2\n1 2 0\n1 1 2\n"
+CERNY4_TEXT = "4 2\n1 2 3 0\n1 1 2 3\n"
 
 
 @pytest.fixture
@@ -543,11 +544,35 @@ def test_report_documents_pinned(tmp_path, capsys, gen, verb, sha256):
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == sha256
 
 
+def test_probe_truncation_and_shortfall_pinned(tmp_path, capsys):
+    # C_4's shortest word baaabaaab with a prepended: ten prefixes, nine of
+    # rank above one, of which the probe keeps n(n-2) = 8, and the length-1
+    # prefix finds no distinctive cell.  Recorded before the matching read
+    # the prefix images from the walk.
+    path = tmp_path / "c4.txt"
+    path.write_text(CERNY4_TEXT)
+    code, out = run_main(["probe", str(path), "--word", "abaaabaaab", "--json"], capsys)
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["notes"][1:] == ["9 prefixes with rank above one, keeping the first 8",
+                                   "matching shortfall: 1 prefixes without a distinctive cell"]
+    assert report["matching"]["unmatched_prefix_lengths"] == [1]
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == \
+        "e321201f274c335493dc76adc499c07815695afaec86c3ac8dc09b78ff455473"
+    code, out = run_main(["probe", str(path), "--word", "abaaabaaab"], capsys)
+    assert code == 0
+    assert out == ("reset word: abaaabaaab (length 10), sink 1\n"
+                   "prefixes offered: 8, cells: 8, matching: short by 1\n"
+                   "prefix-column claim: 7 of 10 prefixes keep column 1 nonzero (3 counterexamples)\n"
+                   "bound: length 9 vs (n-1)^2 = 9: within-bound\n")
+
+
 def test_trace_prefixes_past_26_letters(tmp_path, capsys):
     # Letters 11 and 12 act as C_3's rotation and merge; the other 25 fix
     # every state.  With 27 letters words render as comma-separated indices,
-    # and the one-letter prefix "12" has no comma.  Recorded before the
-    # prefixes were sliced from one rendering of the word.
+    # and the one-letter prefix "12" has no comma.  The JSON hash was
+    # recorded before the prefixes were sliced from one rendering of the
+    # word; the human table pads the word column to the rendered word's width.
     rows = [" ".join(map(str, range(3)))] * 27
     rows[11], rows[12] = "1 2 0", "1 1 2"
     path = tmp_path / "k27.txt"
@@ -560,8 +585,12 @@ def test_trace_prefixes_past_26_letters(tmp_path, capsys):
         "2fa2dddc0fa171732fb4ffc8d9ccd874b16a698f13bc634046c517d102023429"
     code, out = run_main(["trace", str(path)], capsys)
     assert code == 0
-    assert out == (" len  word  |R|  dim\n"
-                   "   1  12      2    1\n"
-                   "   2  12,11    2    2\n"
-                   "   3  12,11,11    2    3\n"
+    assert out == (" len  word         |R|  dim\n"
+                   "   1  12             2    1\n"
+                   "   2  12,11          2    2\n"
+                   "   3  12,11,11       2    3\n"
                    "   4  12,11,11,12    1    4\n")
+    c4 = tmp_path / "c4.txt"
+    c4.write_text(CERNY4_TEXT)
+    for table in (out, run_main(["trace", str(c4)], capsys)[1]):
+        assert len({len(line) for line in table.splitlines()}) == 1

@@ -4,12 +4,12 @@ import json
 
 import pytest
 
-from rowsync.automaton import (Dfa, cerny_automaton, greedy_reset_word, random_dfa,
+from rowsync.automaton import (Dfa, cerny_automaton, format_word, greedy_reset_word, random_dfa,
                                shortest_reset_word)
 from rowsync.equation import is_solution
 from rowsync.errors import DomainError
 from rowsync.probe import allocation_probe, bound_check, maximum_matching, prefix_trace
-from rowsync.rowmon import matrix_of_word, multiply, rank
+from rowsync.rowmon import matrix_of_word, multiply, nonzero_columns, rank
 from test_exactlin import oracle_rank
 
 
@@ -20,8 +20,7 @@ def test_prefix_trace_cerny3_frozen():
     trace = prefix_trace(c3, word)
     assert tuple(r.r_size for r in trace.records) == (2, 2, 2, 1)
     assert tuple(r.dimension for r in trace.records) == (1, 2, 3, 4)
-    assert trace.records[0].word == (1,)
-    assert trace.records[-1].word == word
+    assert trace.word == word
     rows = trace.to_json(c3.k)
     assert rows[0] == {"length": 1, "word": "b", "r_size": 2, "dimension": 1}
 
@@ -249,3 +248,34 @@ def test_prefix_trace_dimensions_against_oracle_random():
         if checked == 20:
             break
     assert checked == 20
+
+
+def assert_prefix_facts_match_rowmon(dfa, word):
+    """Rank, sink-column verdict and JSON row of every prefix, each from its own matrix."""
+    trace = prefix_trace(dfa, word)
+    rep = allocation_probe(dfa, word)
+    rows = trace.to_json(dfa.k)
+    assert len(trace.records) == len(rep.prefix_column_verdicts) == len(rows) == len(word)
+    for i in range(1, len(word) + 1):
+        m = matrix_of_word(dfa, word[:i])
+        assert trace.records[i - 1].r_size == rank(m)
+        assert rep.prefix_column_verdicts[i - 1].holds == (rep.q in nonzero_columns(m))
+        assert rows[i - 1]["length"] == i
+        assert rows[i - 1]["word"] == format_word(word[:i], dfa.k)
+
+
+def test_prefix_facts_against_rowmon():
+    for n in range(3, 11):
+        dfa = cerny_automaton(n)
+        assert_prefix_facts_match_rowmon(dfa, shortest_reset_word(dfa))
+    checked = 0
+    for seed in range(400):
+        dfa = random_dfa(3 + seed % 10, 2 + seed % 2, seed=seed)
+        word = shortest_reset_word(dfa)
+        if word is None:
+            continue
+        assert_prefix_facts_match_rowmon(dfa, word)
+        checked += 1
+        if checked == 40:
+            break
+    assert checked == 40
