@@ -247,6 +247,7 @@ def _run_probe(config: RunConfig) -> RunResult:
                  f"{len(rep.prefix_column_verdicts)} prefixes keep column {rep.q} nonzero"
                  + (f" ({bad} counterexamples)" if bad else ""))
     lines.append(f"bound: length {rep.bound.length} vs (n-1)^2 = {rep.bound.bound}: {rep.bound.status}")
+    lines.extend(f"note: {note}" for note in rep.notes)
     code = 2 if rep.bound.status == "exceeds-bound" else 0
     return RunResult(code, _document(config, report), "\n".join(lines) + "\n")
 

@@ -506,9 +506,12 @@ def test_enum_jobs_clamped_to_shards_and_cpus(capsys, monkeypatch):
 # tables hold states.  The one-state hashes were recorded before the probe
 # stopped special-casing n = 1 around its distinctive columns.  The C_20 hash
 # was recorded on the forward-only search, before the backward side joined it.
-# The C_18 probe, whose family-rank check holds echelon entries up to 17, and
-# the C_15 trace were recorded while matrices still entered the basis as dense
-# n*n vectors and every elimination step divided out a gcd.
+# The C_18 probe and the C_15 trace were recorded while matrices still entered
+# the basis as dense n*n vectors and every elimination step divided out a gcd.
+# Every probe hash was recorded while the family rank was still measured by an
+# exact elimination (for C_18, one holding echelon entries up to 17); the probe
+# now derives that rank and the solution verdict from the matching, so these
+# hashes passing unedited show that the derived fields equal the measured ones.
 @pytest.mark.parametrize("gen,verb,sha256", [
     (["cerny", "--n", "9"], "probe",
      "8c792a3ce67ce4bf814c354d81b95b7b2547afd9b7f450fa0cb8b2aed3a5d372"),
@@ -564,7 +567,10 @@ def test_probe_truncation_and_shortfall_pinned(tmp_path, capsys):
     assert out == ("reset word: abaaabaaab (length 10), sink 1\n"
                    "prefixes offered: 8, cells: 8, matching: short by 1\n"
                    "prefix-column claim: 7 of 10 prefixes keep column 1 nonzero (3 counterexamples)\n"
-                   "bound: length 9 vs (n-1)^2 = 9: within-bound\n")
+                   "bound: length 9 vs (n-1)^2 = 9: within-bound\n"
+                   "note: empty prefix excluded by convention\n"
+                   "note: 9 prefixes with rank above one, keeping the first 8\n"
+                   "note: matching shortfall: 1 prefixes without a distinctive cell\n")
 
 
 def test_trace_prefixes_past_26_letters(tmp_path, capsys):

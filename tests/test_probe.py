@@ -4,10 +4,13 @@ import json
 
 import pytest
 
+import rowsync.probe
 from rowsync.automaton import (Dfa, cerny_automaton, format_word, greedy_reset_word, random_dfa,
-                               shortest_reset_word)
-from rowsync.equation import is_solution
-from rowsync.errors import DomainError
+                               shortest_reset_word, write_dfa)
+from rowsync.cli import main
+from rowsync.equation import is_solution, sink_matrix
+from rowsync.errors import DomainError, RowsyncError
+from rowsync.exactlin import span_dimension
 from rowsync.probe import allocation_probe, bound_check, maximum_matching, prefix_trace
 from rowsync.rowmon import matrix_of_word, multiply, nonzero_columns, rank
 from test_exactlin import oracle_rank
@@ -279,3 +282,81 @@ def test_prefix_facts_against_rowmon():
         if checked == 40:
             break
     assert checked == 40
+
+
+def probe_subjects():
+    """Shortest and longer reset words, some truncated and some falling short.
+
+    (0,) + word on C_4 is the pinned abaaabaaab case, truncated and short by one.
+    """
+    subjects = []
+    for n in range(3, 13):
+        dfa = cerny_automaton(n)
+        word = shortest_reset_word(dfa)
+        subjects.append((dfa, word))
+        if n <= 8:
+            subjects += [(dfa, (0,) + word), (dfa, (0, 1) + word), (dfa, (0,) * n + word)]
+    assert (cerny_automaton(4), (0, 1, 0, 0, 0, 1, 0, 0, 0, 1)) in subjects
+    checked = 0
+    for seed in range(200):
+        dfa = random_dfa(3 + seed % 9, 2 + seed % 2, seed=seed)
+        word = shortest_reset_word(dfa)
+        if word is None:
+            continue
+        subjects += [(dfa, word), (dfa, greedy_reset_word(dfa)), (dfa, (seed % dfa.k, 0) + word)]
+        checked += 1
+        if checked == 40:
+            break
+    assert checked == 40
+    return subjects
+
+
+def test_probe_verdicts_against_elimination():
+    """The certified verdicts equal what multiplication and exact elimination measure."""
+    full = short = truncated = 0
+    for dfa, word in probe_subjects():
+        rep = allocation_probe(dfa, word)
+        truncated += any("keeping the first" in note for note in rep.notes)
+        fields = (rep.solutions_ok, rep.independence_rank, rep.independence_expected,
+                  rep.independence_ok)
+        if not rep.matching.success:
+            short += 1
+            assert fields == (None, None, None, None)
+            assert rep.solutions == ()
+            continue
+        full += 1
+        for (length, _, _), sol in zip(rep.matching.assignments, rep.solutions):
+            assert is_solution(matrix_of_word(dfa, word[:length]), sol, rep.q)
+        measured = span_dimension((*rep.solutions, sink_matrix(dfa.n, rep.q)))
+        assert fields == (True, measured, len(rep.solutions) + 1, True)
+        assert measured == len(rep.solutions) + 1
+    assert full > 50 and short > 10 and truncated > 10
+
+
+def test_probe_raises_on_a_broken_matching(monkeypatch, tmp_path, capsys):
+    # Each fake breaks one fact of the certificate and keeps the others.
+    c4 = cerny_automaton(4)
+    word = shortest_reset_word(c4)
+
+    def shared_cell(adjacency, right_size):
+        # Two prefixes that may both own cell v, given v; the rest unmatched.
+        u, w, v = next((u, w, v) for u in range(len(adjacency)) for w in range(u)
+                       for v in adjacency[u] if v in adjacency[w])
+        return [v if x in (u, w) else None for x in range(len(adjacency))]
+
+    def cell_inside_image(adjacency, right_size):
+        # Cells outside a prefix's adjacency have their row inside its image.
+        barred = next(v for v in range(right_size) if v not in adjacency[0])
+        return [barred] + [None] * (len(adjacency) - 1)
+
+    path = tmp_path / "c4.txt"
+    write_dfa(c4, str(path))
+    for broken in (shared_cell, cell_inside_image):
+        monkeypatch.setattr(rowsync.probe, "maximum_matching", broken)
+        with pytest.raises(RowsyncError, match="the matching is wrong"):
+            allocation_probe(c4, word)
+        assert main(["probe", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rowsync: error: maximum_matching assigned" in captured.err
+        assert "the matching is wrong" in captured.err
