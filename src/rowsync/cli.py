@@ -15,6 +15,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii
 from multiprocessing import Pool
 
 from .automaton import (DEFAULT_ENUM_BUDGET, EXACT_SEARCH_LIMIT, Dfa, _enum_shard_stats,
@@ -281,6 +282,8 @@ def _run_gen(config: RunConfig) -> RunResult:
 
 def _run_enum(config: RunConfig) -> RunResult:
     n, k = config.n, config.k
+    if config.jobs < 1:
+        raise RowsyncError(f"--jobs must be at least 1, got {config.jobs}")
     # count_dfas refuses n < 1 or k < 1, before the budget and the class listing.
     total = count_dfas(n, k)
     if total > config.budget:
@@ -292,7 +295,7 @@ def _run_enum(config: RunConfig) -> RunResult:
     # units.  Dealing the classes round robin splits the unit counts about
     # evenly (21,132 and 21,629 units of (5,2) over two workers), and no
     # worker goes without a class.
-    workers = min(max(1, config.jobs), os.cpu_count() or 1, len(classes))
+    workers = min(config.jobs, os.cpu_count() or 1, len(classes))
     shards = [(n, k, classes, class_id, config.limit, range(i, len(classes), workers))
               for i in range(workers)]
     if len(shards) == 1:
@@ -349,9 +352,51 @@ def run(config: RunConfig) -> RunResult:
     return _RUNNERS[config.command](config)
 
 
+def _encode(value, pad: str) -> str:
+    """`value` exactly as json.dumps(value, indent=2) writes it, nested at `pad`.
+
+    The stdlib uses its C encoder only when there is no indent; its
+    pure-Python indent path takes about twice as long as this on probe
+    reports.  Strings and ints, the bulk of every report, are dispatched on
+    their exact type, so a bool never renders as an int.  Every other leaf is
+    left to json.dumps, which writes floats as the stdlib does and raises
+    TypeError on what it cannot encode.  A document that contains itself
+    raises RecursionError, where the stdlib raises ValueError.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # A key that is not a str goes through the stdlib's own key rules.
+        items = [(encode_basestring_ascii(key) if type(key) is str else json.dumps({key: 0})[1:-4])
+                 + ": " + _encode(item, inner) for key, item in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if {*map(type, value)} == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [_encode(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return json.dumps(value)
+
+
 def render(result: RunResult, config: RunConfig) -> str:
+    """The report as text: with --json, the bytes of json.dumps(document, indent=2) plus a newline."""
     if config.json_output:
-        return json.dumps(result.document, indent=2) + "\n"
+        return _encode(result.document, "") + "\n"
     return result.human
 
 

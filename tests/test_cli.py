@@ -3,14 +3,17 @@
 import hashlib
 import json
 from collections import Counter
+from dataclasses import replace
+from functools import partial
 from itertools import permutations, product
 
 import pytest
 
 from rowsync.automaton import (Dfa, _enum_shard_stats, cerny_automaton, conjugacy_classes,
-                               is_synchronizing, read_dfa, write_dfa)
-from rowsync.cli import RunConfig, build_parser, config_from_args, main, run
-from rowsync.errors import ParseError
+                               is_synchronizing, random_dfa, read_dfa, write_dfa, write_dfa_text)
+from rowsync.cli import RunConfig, RunResult, build_parser, config_from_args, main, render, run
+from rowsync.errors import ParseError, RowsyncError
+from rowsync.suites import run_all
 
 CERNY3_TEXT = "3 2\n1 2 0\n1 1 2\n"
 CERNY4_TEXT = "4 2\n1 2 3 0\n1 1 2 3\n"
@@ -360,6 +363,17 @@ def test_enum_rejects_non_positive_sizes(capsys, monkeypatch, n, k):
     assert f"rowsync: error: need n >= 1 and k >= 1, got n = {n}, k = {k}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_enum_rejects_jobs_below_one(capsys, jobs):
+    # One worker would run, so a report saying "jobs": 0 would not describe the run.
+    assert main(["enum", "--n", "3", "--k", "2", "--jobs", jobs, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"rowsync: error: --jobs must be at least 1, got {jobs}\n"
+    with pytest.raises(RowsyncError, match="--jobs"):
+        run(RunConfig(command="enum", n=3, k=2, jobs=int(jobs)))
+
+
 def test_unwritable_output_exits_one(tmp_path, capsys):
     path = tmp_path / "missing" / "x.txt"
     assert main(["gen", "cerny", "--n", "3", "-o", str(path)]) == 1
@@ -600,3 +614,61 @@ def test_trace_prefixes_past_26_letters(tmp_path, capsys):
     c4.write_text(CERNY4_TEXT)
     for table in (out, run_main(["trace", str(c4)], capsys)[1]):
         assert len({len(line) for line in table.splitlines()}) == 1
+
+
+def test_render_matches_stdlib_json(tmp_path, monkeypatch):
+    # render writes --json reports with its own encoder; the stdlib's
+    # json.dumps(document, indent=2) is the oracle for every byte.
+    import rowsync.cli
+
+    monkeypatch.setattr(rowsync.cli, "run_all", partial(run_all, samples=200, family_samples=20))
+    configs = [RunConfig(command="enum", n=3, k=2), RunConfig(command="enum", n=2, k=2, filter="sync"),
+               RunConfig(command="lemmas", seed=1), RunConfig(command="gen", kind="cerny", n=5, k=2),
+               RunConfig(command="gen", kind="random", n=4, k=3, seed=7, dot=True)]
+    tables = [cerny_automaton(n) for n in range(3, 9)] + [random_dfa(6, 2, 1), random_dfa(7, 3, 2)]
+    for i, dfa in enumerate(tables):
+        path = tmp_path / f"t{i}.txt"
+        path.write_text(write_dfa_text(dfa))
+        path = str(path)
+        configs += [RunConfig(command="check", path=path), RunConfig(command="probe", path=path),
+                    RunConfig(command="trace", path=path), RunConfig(command="matrix", path=path, word="ab"),
+                    RunConfig(command="matrix", path=path, dot=True)]
+    for config in configs:
+        config = replace(config, json_output=True)
+        result = run(config)
+        assert render(result, config) == json.dumps(result.document, indent=2) + "\n"
+        assert render(result, replace(config, json_output=False)) == result.human
+
+    edge = {"empty": [[], {}, [[]], [{}]], "deep": [[[[{"a": [[{"b": {}}]]}]]]],
+            "na\u00efve \"q\" \\": ["caf\u00e9 \U0001f600", "tab\tnew\nline", "\"\\", ""],
+            "scalars": [1, True, 0, None, -3, 2 ** 70], "bools": [True, False], "ints": [7, -1, 2 ** 70],
+            "float": 0.1, "floats": [1e300, -0.0, 2.5], "tuple": (1, ("x", 2)), "nested": {"k": {"l": None}},
+            "keys": {3: "int", 2.5: "float", False: "bool", None: "null"}}
+    config = RunConfig(command="check", json_output=True)
+    assert render(RunResult(0, edge, ""), config) == json.dumps(edge, indent=2) + "\n"
+    for bad in ({"x": [1, {2}]}, {"x": {(1, 2): 3}}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            render(RunResult(0, bad, ""), config)
+
+
+# sha256 of the rendered --json text, so the layout is pinned and not only the
+# parsed report.  Recorded with json.dumps(document, indent=2) as the renderer;
+# the probe's config path is fixed so that the hash does not depend on where
+# the input was written.
+@pytest.mark.parametrize("argv,sha256", [
+    (["enum", "--n", "3", "--k", "2"], "27a9bbec83899b28e7aa396b8027da9097ecea9e3548d6f40ba532ef715f16fd"),
+    (["gen", "cerny", "--n", "6"], "e79a7eb5d8d6c11d1eafb4295aaaee58013cc8d2addb336c829558cf27e7a347"),
+    (["probe", "c6.txt"], "197b54aae332de6006adaa5127839c25e94b0ecebc01344067a784f354b7e3ca"),
+], ids=["enum-3-2", "gen-cerny6", "probe-cerny6"])
+def test_rendered_json_bytes_pinned(tmp_path, argv, sha256):
+    if argv[0] == "probe":
+        path = tmp_path / argv[1]
+        path.write_text(write_dfa_text(cerny_automaton(6)))
+        argv = ["probe", str(path)]
+    config = config_from_args(build_parser().parse_args([*argv, "--json"]))
+    result = run(config)
+    if argv[0] == "probe":
+        result.document["config"]["path"] = "c6.txt"
+    assert hashlib.sha256(render(result, config).encode()).hexdigest() == sha256
