@@ -27,6 +27,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import accumulate, combinations, combinations_with_replacement, permutations, product
 from math import factorial, prod
+from operator import mul
 from typing import Sequence
 
 from .errors import CapacityError, DomainError, InvalidWordError, ParseError
@@ -100,17 +101,28 @@ def format_prefixes(word: Sequence[int], k: int) -> list[str]:
     return [text[:end - 1] for end in accumulate(len(str(a)) + 1 for a in word)]
 
 
+def _decimal(token: str) -> int | None:
+    """The value of token if it is ASCII digits after at most a leading '-', else None.
+
+    int() alone would also take '+1', '1_1' and non-ASCII digits.
+    """
+    if token.isascii() and (token.isdecimal() or token[:1] == "-" and token[1:].isdecimal()):
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts from text
+            pass
+    return None
+
+
 def parse_word(text: str, k: int) -> Word:
     """Inverse of format_word.  Accepts both renderings."""
     text = text.strip()
     if not text:
         return ()
     if any(ch.isdigit() for ch in text):
-        parts = text.replace(",", " ").split()
-        try:
-            letters = tuple(int(p) for p in parts)
-        except ValueError:
-            raise InvalidWordError(f"cannot parse word {text!r} as letter indices") from None
+        letters = tuple(map(_decimal, text.replace(",", " ").split()))
+        if None in letters:
+            raise InvalidWordError(f"cannot parse word {text!r} as letter indices")
     else:
         letters = ()
         for ch in text:
@@ -407,7 +419,7 @@ def _relabellings(n: int) -> list[tuple[tuple[int, ...], list[int]]]:
 
 def _conjugates(g: Sequence[int], relabellings) -> list[int]:
     """The index of s g s^-1 for each relabelling (s, weights)."""
-    return [sum(s[t] * w for t, w in zip(g, weights)) for s, weights in relabellings]
+    return [sum(map(mul, map(s.__getitem__, g), weights)) for s, weights in relabellings]
 
 
 def conjugacy_classes(n: int) -> tuple[list[tuple[tuple[int, ...], int]], array]:
@@ -462,19 +474,19 @@ def _enum_units(n: int, k: int, classes, class_id, maps, picked):
         centre = [r for r, j in zip(relabellings, conjugates) if j == least]
         if len(centre) == 1:
             # C(f) is the identity alone, so every orbit is its map alone.
-            for j, g in enumerate(maps):
-                if class_id[j] >= c:
-                    yield (f, g), (c, class_id[j]), size
+            for g, d in zip(maps, class_id):
+                if d >= c:
+                    yield (f, g), (c, d), size
             continue
         reached = bytearray(len(maps))
-        for j, g in enumerate(maps):
-            if class_id[j] < c or reached[j]:
+        for j, (g, d) in enumerate(zip(maps, class_id)):
+            if d < c or reached[j]:
                 continue
             # Maps are listed in lexicographic index order, so g is its orbit's least member.
             orbit = set(_conjugates(g, centre))
             for i in orbit:
                 reached[i] = 1
-            yield (f, g), (c, class_id[j]), size * len(orbit)
+            yield (f, g), (c, d), size * len(orbit)
 
 
 def _enum_shard_stats(params: tuple) -> dict:
@@ -486,27 +498,35 @@ def _enum_shard_stats(params: tuple) -> dict:
     before.  Each such table stands for the k!/prod(m_c!) orders of its
     class multiset, m_c being the number of rows of class c, and carries its
     unit's weight times that multinomial.  Its rows are built from range(n),
-    so they go to _search as they are.  Returns the synchronizing count, the
-    length histogram and the total weight covered.
+    so they go to _search as they are.  The tails' classes, member lists and
+    multinomials depend only on the unit's row classes, so they are built
+    once per row-class tuple, at most one per nondecreasing class pair.
+    Returns the synchronizing count, the length histogram and the total
+    weight covered.
     """
     n, k, classes, class_id, limit, picked = params
     maps = list(product(range(n), repeat=n)) if k > 1 else []
     members: list[list[tuple[int, ...]]] = [[] for _ in classes]
     for g, c in zip(maps, class_id):
         members[c].append(g)
+    tails: dict[tuple[int, ...], list] = {}
     hist: Counter[int] = Counter()
-    sync = covered = 0
+    covered = 0
     for rows, row_classes, weight in _enum_units(n, k, classes, class_id, maps, picked):
-        for tail_classes in combinations_with_replacement(range(row_classes[-1], len(classes)), k - len(rows)):
-            orders = factorial(k) // prod(map(factorial, Counter(row_classes + tail_classes).values()))
+        if (shapes := tails.get(row_classes)) is None:
+            shapes = tails[row_classes] = [
+                (factorial(k) // prod(map(factorial, Counter(row_classes + tail_classes).values())),
+                 tuple([members[c] for c in tail_classes]))
+                for tail_classes in combinations_with_replacement(range(row_classes[-1], len(classes)),
+                                                                  k - len(rows))]
+        for orders, tail_members in shapes:
             table_weight = weight * orders
-            for tail in product(*(members[c] for c in tail_classes)):
+            for tail in product(*tail_members):
                 covered += table_weight
-                word = _search((*rows, *tail), limit)
+                word = _search(rows + tail, limit)
                 if word is not None:
-                    sync += table_weight
                     hist[len(word)] += table_weight
-    return {"sync": sync, "hist": hist, "weight": covered}
+    return {"sync": sum(hist.values()), "hist": hist, "weight": covered}
 
 
 def _random_dfa(rng: random.Random, n: int, k: int) -> Dfa:
@@ -527,8 +547,9 @@ def write_dfa_text(dfa: Dfa) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tokens_with_columns(line: str) -> list[tuple[str, int]]:
-    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+def _column(line: str, index: int) -> int:
+    """The 1-based column of the index-th whitespace-separated token of line."""
+    return [m.start() + 1 for m in re.finditer(r"\S+", line)][index]
 
 
 def read_dfa_text(text: str) -> Dfa:
@@ -543,37 +564,32 @@ def read_dfa_text(text: str) -> Dfa:
     if not significant:
         raise ParseError("empty input, expected a header line 'n k'")
     head_no, head = significant[0]
-    head_tokens = _tokens_with_columns(head)
+    head_tokens = head.split()
     if len(head_tokens) != 2:
         raise ParseError(f"header must be 'n k', got {len(head_tokens)} tokens", line=head_no)
-    parsed = []
-    for tok, col in head_tokens:
-        try:
-            val = int(tok)
-        except ValueError:
-            raise ParseError(f"header token {tok!r} is not an integer", line=head_no, column=col) from None
+    header = list(map(_decimal, head_tokens))
+    for i, val in enumerate(header):
+        if val is None:
+            raise ParseError(f"header token {head_tokens[i]!r} is not an integer", line=head_no,
+                             column=_column(head, i))
         if val < 1:
-            raise ParseError(f"header value {val} must be positive", line=head_no, column=col)
-        parsed.append(val)
-    n, k = parsed
+            raise ParseError(f"header value {val} must be positive", line=head_no, column=_column(head, i))
+    n, k = header
     body = significant[1:]
     if len(body) != k:
         raise ParseError(f"expected {k} transition rows, found {len(body)}",
                          line=body[-1][0] if body else head_no)
     delta = []
     for a, (lineno, raw) in enumerate(body):
-        tokens = _tokens_with_columns(raw)
+        tokens = raw.split()
         if len(tokens) != n:
             raise ParseError(f"row for letter {a} must hold {n} targets, got {len(tokens)}", line=lineno)
-        row = []
-        for tok, col in tokens:
-            try:
-                t = int(tok)
-            except ValueError:
-                raise ParseError(f"target {tok!r} is not an integer", line=lineno, column=col) from None
-            if not 0 <= t < n:
-                raise ParseError(f"target {t} outside [0, {n})", line=lineno, column=col)
-            row.append(t)
+        row = list(map(_decimal, tokens))
+        if None in row or min(row) < 0 or max(row) >= n:
+            # The first bad token is reported, as a token-by-token reading would.
+            i, t = next((i, t) for i, t in enumerate(row) if t is None or not 0 <= t < n)
+            message = f"target {tokens[i]!r} is not an integer" if t is None else f"target {t} outside [0, {n})"
+            raise ParseError(message, line=lineno, column=_column(raw, i))
         delta.append(tuple(row))
     return Dfa(n=n, k=k, delta=tuple(delta))
 

@@ -289,6 +289,10 @@ def _run_enum(config: RunConfig) -> RunResult:
     if total > config.budget:
         raise CapacityError(f"enumerating {total} tables exceeds the budget of {config.budget}; "
                             "raise --budget to proceed")
+    # Every table is searched, so refuse here what _search would refuse on the first one.
+    if n > config.limit:
+        raise CapacityError(f"exact subset search handles n <= {config.limit} (got n = {n}); "
+                            "raise the limit or fall back to greedy_reset_word")
     # n^n <= n^(nk) <= budget, so the class listing's 2 n^n bytes are covered too.
     classes, class_id = conjugacy_classes(n)
     # Worker i takes the row-1 classes i, i + workers, ... and walks only their

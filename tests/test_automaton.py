@@ -121,6 +121,37 @@ def test_word_rendering_round_trip():
         assert str(err.value) == f"letter {index} outside alphabet of size 2"
 
 
+@pytest.mark.parametrize("token", ["1_0", "+1", "\u0661", "\uff10", "1.0", "0x1", "--1", "-", "9" * 5000],
+                         ids=["underscore", "plus", "arabic-indic", "fullwidth", "point", "hex", "minus-minus",
+                              "minus", "5000-digits"])
+def test_only_plain_decimal_integers_parse(token):
+    # int() takes the first four; the format's integers are ASCII digits after at most a '-'.
+    for text, line, column in ((f"{token} 1\n0\n", 1, 1), (f"2 1\n0 {token}\n", 2, 3)):
+        with pytest.raises(ParseError) as err:
+            read_dfa_text(text)
+        assert "is not an integer" in str(err.value)
+        assert (err.value.line, err.value.column) == (line, column)
+    with pytest.raises(InvalidWordError) as err:
+        parse_word(f"0,{token}", 20)
+    assert str(err.value).startswith("cannot parse word")
+
+
+def test_plain_decimal_integers_still_parse():
+    assert read_dfa_text("02 1\n01 00\n") == Dfa(2, 1, ((1, 0),))
+    with pytest.raises(ParseError) as err:
+        read_dfa_text("2 1\n0 -1\n")
+    assert "target -1 outside [0, 2)" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        read_dfa_text("-2 1\n0 0\n")
+    assert "header value -2 must be positive" in str(err.value)
+    assert parse_word(" 1, 0 10 ", 11) == (1, 0, 10)
+    # int() alone reads these as n = 11 and as the word (0, 1).
+    with pytest.raises(ParseError):
+        read_dfa_text("1_1 1\n" + " ".join(["0"] * 11) + "\n")
+    with pytest.raises(InvalidWordError):
+        parse_word("\u0660,\u0661", 2)
+
+
 def test_cerny_construction():
     d = cerny_automaton(4)
     assert d.delta == ((1, 2, 3, 0), (1, 1, 2, 3))
@@ -367,9 +398,11 @@ def test_conjugacy_classes():
 
 
 # (1,4), (2,4) and (3,3) have k >= 3 rows, tables repeating a class, and the
-# identity row, whose centraliser is all of S_n.
-@pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (2, 4),
-                                 (3, 1), (3, 2), (3, 3)])
+# identity row, whose centraliser is all of S_n.  (1,5) and (2,5) have
+# three-row tails that repeat classes, so each tail multinomial is checked
+# for every row-class pair that shares it.
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 2), (2, 3), (2, 4),
+                                 (2, 5), (3, 1), (3, 2), (3, 3)])
 def test_enum_weighted_by_class_matches_raw_sweep(n, k):
     hist = Counter()
     for d in all_tables(n, k):

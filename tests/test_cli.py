@@ -290,7 +290,8 @@ def test_enum_class_shards_add_up():
 def test_enum_search_counts(monkeypatch):
     # Tables are searched up to state relabelling and letter permutation: far
     # fewer than one search per letter-0 row class and remaining rows
-    # (189, 5,103 and 4,864).
+    # (189, 5,103 and 4,864).  The counts are exact, so a walker that
+    # searches a table twice or lists extra tables fails here.
     import rowsync.automaton
 
     calls = Counter()
@@ -303,7 +304,7 @@ def test_enum_search_counts(monkeypatch):
     monkeypatch.setattr(rowsync.automaton, "_search", counted)
     for n, k in ((3, 2), (3, 3), (4, 2)):
         assert run(RunConfig(command="enum", n=n, k=k)).exit_code == 0
-    assert calls[3, 2] <= 77 and calls[3, 3] <= 931 and calls[4, 2] <= 1523
+    assert (calls[3, 2], calls[3, 3], calls[4, 2]) == (77, 931, 1523)
 
 
 def test_enum_builds_no_dfa(monkeypatch):
@@ -348,6 +349,19 @@ def test_enum_budget_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(rowsync.cli, "conjugacy_classes", refuse)
     assert main(["enum", "--n", "4", "--k", "3"]) == 1
     assert "exceeds the budget of 1000000" in capsys.readouterr().err
+
+
+def test_enum_limit_below_n_exits_one(capsys, monkeypatch):
+    import rowsync.cli
+
+    def refuse(n):
+        raise AssertionError("conjugacy classes listed before the limit check")
+
+    # Every table is searched, so --limit below n is refused before any listing or pool.
+    monkeypatch.setattr(rowsync.cli, "conjugacy_classes", refuse)
+    assert main(["enum", "--n", "3", "--k", "2", "--limit", "2", "--jobs", "2"]) == 1
+    assert capsys.readouterr().err == ("rowsync: error: exact subset search handles n <= 2 (got n = 3); "
+                                       "raise the limit or fall back to greedy_reset_word\n")
 
 
 @pytest.mark.parametrize("n,k", [(3, 0), (3, -1), (-1, 3)])
@@ -654,14 +668,22 @@ def test_render_matches_stdlib_json(tmp_path, monkeypatch):
 
 
 # sha256 of the rendered --json text, so the layout is pinned and not only the
-# parsed report.  Recorded with json.dumps(document, indent=2) as the renderer;
-# the probe's config path is fixed so that the hash does not depend on where
-# the input was written.
+# parsed report.  Recorded with json.dumps(document, indent=2), or with the
+# direct encoder test_render_matches_stdlib_json holds to it, before the
+# enum walker's tail cache; the probe's config path is fixed so that the
+# hash does not depend on where the input was written.
 @pytest.mark.parametrize("argv,sha256", [
     (["enum", "--n", "3", "--k", "2"], "27a9bbec83899b28e7aa396b8027da9097ecea9e3548d6f40ba532ef715f16fd"),
+    (["enum", "--n", "3", "--k", "3"], "1181c2df7a7b93892eb3bdc890dda6375443edb4d1f5fdf801dc652650e39338"),
+    (["enum", "--n", "3", "--k", "3", "--jobs", "2"],
+     "251e859c05b1d0355c413596a42496097d6968b90c97af5ad979a654b2bbf139"),
+    (["enum", "--n", "4", "--k", "2"], "4edc44ef8cd48a8c19682d09dc86b6c29b8ef214bdec9ee447361924f8fdef81"),
+    (["enum", "--n", "2", "--k", "4"], "226bc07d46ea142aa5142d1ceb3c502a0cf0d8d0b5db87f52496193cce00fdb8"),
+    (["enum", "--n", "4", "--k", "1"], "d8b10fa45994ddb9af69a16560b94f3059f94b1b15d5cdcef1d588c1ae2d4d79"),
     (["gen", "cerny", "--n", "6"], "e79a7eb5d8d6c11d1eafb4295aaaee58013cc8d2addb336c829558cf27e7a347"),
     (["probe", "c6.txt"], "197b54aae332de6006adaa5127839c25e94b0ecebc01344067a784f354b7e3ca"),
-], ids=["enum-3-2", "gen-cerny6", "probe-cerny6"])
+], ids=["enum-3-2", "enum-3-3", "enum-3-3-jobs2", "enum-4-2", "enum-2-4", "enum-4-1", "gen-cerny6",
+        "probe-cerny6"])
 def test_rendered_json_bytes_pinned(tmp_path, argv, sha256):
     if argv[0] == "probe":
         path = tmp_path / argv[1]
