@@ -3,7 +3,7 @@
 States are 0..n-1, letters are 0..k-1, and a word is any sequence of letter
 indices; the empty word acts as the identity.  The exact shortest-word
 search is one kernel on bitset-encoded state subsets, whose images come
-from three chunk tables of width max(8, ceil(n/3)).  It runs a forward BFS
+from three chunk tables of width ceil(n/3).  It runs a forward BFS
 over the images of the full set and, once a forward level holds more than
 16 n subsets, races it against a backward BFS over the preimages of the
 singletons, favouring the forward side 16 to 1: on typical random automata
@@ -15,7 +15,9 @@ work on the pair automaton instead, so they stay usable where the exact
 search does not.
 The enum walker lists the tables up to state relabelling and letter
 permutation with one conjugation-index expression, and searches the raw rows
-it builds from range(n): Dfa validates input at the boundary only.
+it builds from range(n): Dfa validates input at the boundary only.  It ORs
+each table's chunk tables from tables made once per shard for its last row
+and once per prefix for the others.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import accumulate, combinations, combinations_with_replacement, permutations, product
 from math import factorial, prod
-from operator import mul
+from operator import mul, or_
 from typing import Sequence
 
 from .errors import CapacityError, DomainError, InvalidWordError, ParseError
@@ -137,18 +139,43 @@ def parse_word(text: str, k: int) -> Word:
     return letters
 
 
-def _search(delta: Sequence[Sequence[int]], limit: int) -> Word | None:
+def _chunk_tables(masks: Sequence[int], w: int) -> tuple[list[int], list[int], list[int]]:
+    """Chunk c's table maps each subset x of states c*w .. c*w+w-1 (bit i for
+    state c*w+i) to the OR of their masks; a chunk with no states keeps [0].
+
+    Built by doubling: adding a state to every subset listed ORs in its mask.
+    """
+    tables = ([0], [0], [0])
+    for q, mask in enumerate(masks):
+        table = tables[q // w]
+        table += [bits | mask for bits in table]
+    return tables
+
+
+def _successor_masks(rows: Sequence[Sequence[int]], first: int) -> list[int]:
+    """Per-state masks of rows taken as letters first, first+1, ...: q's mask
+    has bit a*n + t where letter a sends q to t = rows[a - first][q]."""
+    n = len(rows[0])
+    masks = [0] * n
+    for a, row in enumerate(rows, first):
+        base = 1 << a * n
+        for q, t in enumerate(row):
+            masks[q] |= base << t
+    return masks
+
+
+def _search(delta: Sequence[Sequence[int]], limit: int, tables=None) -> Word | None:
     """The subset search on trusted raw rows: a Dfa's delta, or rows the enum
     walker built from range(n).
 
     Subsets are bitmasks.  The states are cut into three chunks of
-    w = max(8, ceil(n/3)) states, and each chunk has one table mapping every
-    subset of its states to the images of that subset under all k letters at
-    once, letter a's image in bits a*n .. a*n+n-1 of one integer; a chunk
-    with no states keeps the one-entry table [0].  The images of any subset
-    are the OR of exactly three lookups.  A table is built by doubling:
-    adding a state to every subset already listed ORs in that state's k
-    successors.
+    w = ceil(n/3) states, and each chunk has one table mapping every subset
+    of its states to the images of that subset under all k letters at once,
+    letter a's image in bits a*n .. a*n+n-1 of one integer: _chunk_tables
+    over each state's k successors.  The images of any subset are the OR of
+    exactly three lookups.  A caller that already holds these tables, as
+    the enum walker does, passes them as tables; the capacity check still
+    comes first.
 
     The forward BFS runs from the full set.  Once one of its levels holds
     more than _RACE * n subsets, a backward BFS starts from the n
@@ -180,15 +207,9 @@ def _search(delta: Sequence[Sequence[int]], limit: int) -> Word | None:
         )
     if n == 1:
         return ()
-    # max(8, ceil(n/3)), without the call that tiny searches would pay for.
-    w = 8 if n <= 24 else -(-n // 3)
-    tables = ([0], [0], [0])
-    for q in range(n):
-        successors = 0
-        for a, row in enumerate(delta):
-            successors |= 1 << (a * n + row[q])
-        table = tables[q // w]
-        table += [images | successors for images in table]
+    w = -(-n // 3)
+    if tables is None:
+        tables = _chunk_tables(_successor_masks(delta, 0), w)
     t0, t1, t2 = tables
     mask = (1 << w) - 1
     w2 = 2 * w
@@ -203,14 +224,11 @@ def _search(delta: Sequence[Sequence[int]], limit: int) -> Word | None:
         if len(level) > cap:
             if not back:
                 preimages = [0] * n
-                for a, row in enumerate(delta):
+                for s, row in zip(shifts, delta):
+                    base = 1 << s
                     for p, q in enumerate(row):
-                        preimages[q] |= 1 << (a * n + p)
-                tables = ([0], [0], [0])
-                for q, bits in enumerate(preimages):
-                    table = tables[q // w]
-                    table += [sets | bits for sets in table]
-                b0, b1, b2 = tables
+                        preimages[q] |= base << p
+                b0, b1, b2 = _chunk_tables(preimages, w)
                 back.append([1 << q for q in range(n)])
                 # 0, the empty preimage, is marked seen so that it is never pushed.
                 seen = {0, *back[0]}
@@ -450,9 +468,10 @@ def conjugacy_classes(n: int) -> tuple[list[tuple[tuple[int, ...], int]], array]
 
 
 def _enum_units(n: int, k: int, classes, class_id, maps, picked):
-    """The tables' first rows up to state relabelling, as (rows, row classes, weight).
+    """The tables' first rows up to state relabelling, as (c, j, weight).
 
-    Only the units whose row-1 class position is in picked are listed.
+    Row 1 is class c's least member, row 2 is maps[j] (j is None when
+    k = 1), and c runs over picked.
 
     Relabelling the states by a permutation s keeps the shortest reset length
     and conjugates every row by s.  So row 1 is the least member f of a class,
@@ -467,16 +486,16 @@ def _enum_units(n: int, k: int, classes, class_id, maps, picked):
     for c in picked:
         f, size = classes[c]
         if k == 1:
-            yield (f,), (c,), size
+            yield c, None, size
             continue
         conjugates = _conjugates(f, relabellings)
         least = min(conjugates)
         centre = [r for r, j in zip(relabellings, conjugates) if j == least]
         if len(centre) == 1:
             # C(f) is the identity alone, so every orbit is its map alone.
-            for g, d in zip(maps, class_id):
+            for j, d in enumerate(class_id):
                 if d >= c:
-                    yield (f, g), (c, d), size
+                    yield c, j, size
             continue
         reached = bytearray(len(maps))
         for j, (g, d) in enumerate(zip(maps, class_id)):
@@ -486,7 +505,32 @@ def _enum_units(n: int, k: int, classes, class_id, maps, picked):
             orbit = set(_conjugates(g, centre))
             for i in orbit:
                 reached[i] = 1
-            yield (f, g), (c, d), size * len(orbit)
+            yield c, j, size * len(orbit)
+
+
+def _letter0_tables(n: int):
+    """combine(j, prefix): chunk tables with the map of lexicographic index j
+    as letter 0, ORed entrywise into prefix, the chunk tables of letters 1...
+
+    Letter 0's part of a chunk's table depends only on the map's piece on its
+    states, so the tables of all pieces, at most 2 n^w 2^w entries, are made
+    once.  For chunk sizes s0, s1, s2 the pieces have the indices
+    j // n^(s1+s2), j // n^s2 % n^s1 and j % n^s2.
+    """
+    w = -(-n // 3)
+    sizes = (w, min(w, n - w), max(n - 2 * w, 0))
+    pieces = {s: [_chunk_tables([1 << t for t in piece], w)[0] for piece in product(range(n), repeat=s)]
+              for s in set(sizes)}
+    p0, p1, p2 = map(pieces.get, sizes)
+    m1, m2 = n ** sizes[1], n ** sizes[2]
+    m12 = m1 * m2
+
+    def combine(j, prefix):
+        q0, q1, q2 = prefix
+        return (list(map(or_, p0[j // m12], q0)), list(map(or_, p1[j // m2 % m1], q1)),
+                list(map(or_, p2[j % m2], q2)))
+
+    return combine
 
 
 def _enum_shard_stats(params: tuple) -> dict:
@@ -497,33 +541,55 @@ def _enum_shard_stats(params: tuple) -> dict:
     range over every map whose class is at least the class of the row
     before.  Each such table stands for the k!/prod(m_c!) orders of its
     class multiset, m_c being the number of rows of class c, and carries its
-    unit's weight times that multinomial.  Its rows are built from range(n),
-    so they go to _search as they are.  The tails' classes, member lists and
-    multinomials depend only on the unit's row classes, so they are built
-    once per row-class tuple, at most one per nondecreasing class pair.
-    Returns the synchronizing count, the length histogram and the total
-    weight covered.
+    unit's weight times that multinomial.  The tails' classes, member lists
+    and multinomials depend only on the unit's row classes, so they are
+    built once per row-class tuple, at most one per nondecreasing class pair.
+
+    For the same reason a table's last row can be letter 0 and rows 1..k-1
+    letters 1..k-1, a prefix that many tables share (row 1 for k = 2, the
+    unit for k = 3).  Its chunk tables are built once per prefix and ORed
+    with letter 0's from _letter0_tables; k = 1 builds its own.  Returns the
+    synchronizing count, the length histogram and the total weight covered.
     """
     n, k, classes, class_id, limit, picked = params
     maps = list(product(range(n), repeat=n)) if k > 1 else []
-    members: list[list[tuple[int, ...]]] = [[] for _ in classes]
-    for g, c in zip(maps, class_id):
-        members[c].append(g)
-    tails: dict[tuple[int, ...], list] = {}
+    members: list[list[int]] = [[] for _ in classes]
+    if k > 2:
+        for j, c in enumerate(class_id):
+            members[c].append(j)
+    combine = _letter0_tables(n)
+    w = -(-n // 3)
+    tails: dict[tuple[int, int], list] = {}
+    held = None
     hist: Counter[int] = Counter()
     covered = 0
-    for rows, row_classes, weight in _enum_units(n, k, classes, class_id, maps, picked):
-        if (shapes := tails.get(row_classes)) is None:
-            shapes = tails[row_classes] = [
-                (factorial(k) // prod(map(factorial, Counter(row_classes + tail_classes).values())),
-                 tuple([members[c] for c in tail_classes]))
-                for tail_classes in combinations_with_replacement(range(row_classes[-1], len(classes)),
-                                                                  k - len(rows))]
-        for orders, tail_members in shapes:
-            table_weight = weight * orders
-            for tail in product(*tail_members):
-                covered += table_weight
-                word = _search(rows + tail, limit)
+    for c, j, weight in _enum_units(n, k, classes, class_id, maps, picked):
+        f = classes[c][0]
+        if k == 1:
+            covered += weight
+            word = _search((f,), limit)
+            if word is not None:
+                hist[len(word)] += weight
+            continue
+        d = class_id[j]
+        if k == 2:
+            groups = (((f,), (j,), weight if d == c else 2 * weight),)
+        else:
+            if (shapes := tails.get((c, d))) is None:
+                shapes = tails[c, d] = [
+                    (factorial(k) // prod(map(factorial, Counter((c, d) + tail_classes).values())),
+                     tuple([members[e] for e in tail_classes]))
+                    for tail_classes in combinations_with_replacement(range(d, len(classes)), k - 2)]
+            head = (f, maps[j])
+            groups = ((head + tuple(map(maps.__getitem__, middle)), tail_members[-1], weight * orders)
+                      for orders, tail_members in shapes for middle in product(*tail_members[:-1]))
+        for prefix, lasts, table_weight in groups:
+            if prefix != held:
+                held = prefix
+                tables = _chunk_tables(_successor_masks(prefix, 1), w)
+            covered += table_weight * len(lasts)
+            for i in lasts:
+                word = _search((maps[i], *prefix), limit, combine(i, tables))
                 if word is not None:
                     hist[len(word)] += table_weight
     return {"sync": sum(hist.values()), "hist": hist, "weight": covered}

@@ -226,8 +226,10 @@ def two_component_dfa(n, k, seed):
     return Dfa(n=n, k=k, delta=delta)
 
 
-# Chunk width is max(8, ceil(n/3)): 8 up to n = 24 (the default limit), 9 at
-# n = 25 and 26, so the edges of all three chunk tables are crossed.
+# Chunk width is w = ceil(n/3), so the third chunk holds n - 2w states: as
+# many as the others when 3 divides n (9, 15, 24), one fewer when n is 2 mod
+# 3 (8, 17, 23, 26) and two fewer when n is 1 mod 3 (7, 16, 25).  25 and 26
+# pass the default limit.
 @pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 23, 24, 25, 26])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_shortest_against_frozenset_bfs_at_chunk_edges(n, k):
@@ -300,6 +302,42 @@ def test_exact_search_capacity():
     with pytest.raises(CapacityError):
         shortest_reset_length(d)
     assert shortest_reset_length(cerny_automaton(5), limit=5) == 16
+
+
+def test_capacity_check_precedes_table_building(monkeypatch):
+    # n > limit is refused before any chunk table is built, also when the
+    # caller passes tables of its own.
+    delta = cerny_automaton(40).delta
+    tables = rowsync.automaton._chunk_tables([0] * 40, 14)
+
+    def refuse(masks, w):
+        raise AssertionError("chunk tables built before the capacity check")
+
+    monkeypatch.setattr(rowsync.automaton, "_chunk_tables", refuse)
+    with pytest.raises(CapacityError):
+        shortest_reset_word(cerny_automaton(40))
+    with pytest.raises(CapacityError):
+        rowsync.automaton._search(delta, EXACT_SEARCH_LIMIT, tables)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_enum_combined_tables_equal_built_tables(n):
+    # The enum walker ORs letter 0's piece tables into the chunk tables of
+    # letters 1..k-1.  A wrong piece index or shift would change only some
+    # histograms, so the combined tables are checked against a direct build.
+    automaton = rowsync.automaton
+    rng = random.Random(n)
+    w = -(-n // 3)
+    combine = automaton._letter0_tables(n)
+    for k in range(1, 5):
+        firsts = [(0,) * n, (n - 1,) * n] + [tuple(rng.randrange(n) for _ in range(n)) for _ in range(20)]
+        for first in firsts:
+            delta = (first, *(tuple(rng.randrange(n) for _ in range(n)) for _ in range(k - 1)))
+            j = sum(t * n ** (n - 1 - i) for i, t in enumerate(first))
+            masks = automaton._successor_masks(delta[1:], 1) if k > 1 else [0] * n
+            tables = combine(j, automaton._chunk_tables(masks, w))
+            assert tables == automaton._chunk_tables(automaton._successor_masks(delta, 0), w), delta
+            assert automaton._search(delta, n, tables) == automaton._search(delta, n), delta
 
 
 def test_greedy_reset_word():

@@ -297,14 +297,41 @@ def test_enum_search_counts(monkeypatch):
     calls = Counter()
     search = rowsync.automaton._search
 
-    def counted(delta, limit):
+    def counted(delta, limit, tables=None):
         calls[len(delta[0]), len(delta)] += 1
-        return search(delta, limit)
+        return search(delta, limit, tables)
 
     monkeypatch.setattr(rowsync.automaton, "_search", counted)
     for n, k in ((3, 2), (3, 3), (4, 2)):
         assert run(RunConfig(command="enum", n=n, k=k)).exit_code == 0
     assert (calls[3, 2], calls[3, 3], calls[4, 2]) == (77, 931, 1523)
+
+
+def test_enum_builds_chunk_tables_per_prefix_not_per_table(monkeypatch):
+    # Every table's chunk tables are combined from tables the walker built
+    # once per shard or once per prefix of rows, so the builds stay below
+    # the searches, and no search builds its own.
+    import rowsync.automaton
+
+    builds, searches = [], []
+    build, search = rowsync.automaton._chunk_tables, rowsync.automaton._search
+
+    def counted_build(masks, w):
+        builds.append(w)
+        return build(masks, w)
+
+    def counted_search(delta, limit, tables=None):
+        searches.append(tables is not None)
+        return search(delta, limit, tables)
+
+    monkeypatch.setattr(rowsync.automaton, "_chunk_tables", counted_build)
+    monkeypatch.setattr(rowsync.automaton, "_search", counted_search)
+    for n, k, count in ((4, 2, 1523), (3, 3, 931)):
+        builds.clear()
+        searches.clear()
+        assert run(RunConfig(command="enum", n=n, k=k)).exit_code == 0
+        assert len(searches) == count and all(searches)
+        assert len(builds) < count
 
 
 def test_enum_builds_no_dfa(monkeypatch):
@@ -670,8 +697,9 @@ def test_render_matches_stdlib_json(tmp_path, monkeypatch):
 # sha256 of the rendered --json text, so the layout is pinned and not only the
 # parsed report.  Recorded with json.dumps(document, indent=2), or with the
 # direct encoder test_render_matches_stdlib_json holds to it, before the
-# enum walker's tail cache; the probe's config path is fixed so that the
-# hash does not depend on where the input was written.
+# enum walker's tail cache (enum (4,3): before the walker combined its chunk
+# tables); the probe's config path is fixed so that the hash does not depend
+# on where the input was written.
 @pytest.mark.parametrize("argv,sha256", [
     (["enum", "--n", "3", "--k", "2"], "27a9bbec83899b28e7aa396b8027da9097ecea9e3548d6f40ba532ef715f16fd"),
     (["enum", "--n", "3", "--k", "3"], "1181c2df7a7b93892eb3bdc890dda6375443edb4d1f5fdf801dc652650e39338"),
@@ -680,10 +708,12 @@ def test_render_matches_stdlib_json(tmp_path, monkeypatch):
     (["enum", "--n", "4", "--k", "2"], "4edc44ef8cd48a8c19682d09dc86b6c29b8ef214bdec9ee447361924f8fdef81"),
     (["enum", "--n", "2", "--k", "4"], "226bc07d46ea142aa5142d1ceb3c502a0cf0d8d0b5db87f52496193cce00fdb8"),
     (["enum", "--n", "4", "--k", "1"], "d8b10fa45994ddb9af69a16560b94f3059f94b1b15d5cdcef1d588c1ae2d4d79"),
+    (["enum", "--n", "4", "--k", "3", "--budget", "16777216"],
+     "38fdff20a94e6b5a5db40fc1fe86e6597089a4bc8683662cacd14c4c2d17d7bd"),
     (["gen", "cerny", "--n", "6"], "e79a7eb5d8d6c11d1eafb4295aaaee58013cc8d2addb336c829558cf27e7a347"),
     (["probe", "c6.txt"], "197b54aae332de6006adaa5127839c25e94b0ecebc01344067a784f354b7e3ca"),
-], ids=["enum-3-2", "enum-3-3", "enum-3-3-jobs2", "enum-4-2", "enum-2-4", "enum-4-1", "gen-cerny6",
-        "probe-cerny6"])
+], ids=["enum-3-2", "enum-3-3", "enum-3-3-jobs2", "enum-4-2", "enum-2-4", "enum-4-1", "enum-4-3",
+        "gen-cerny6", "probe-cerny6"])
 def test_rendered_json_bytes_pinned(tmp_path, argv, sha256):
     if argv[0] == "probe":
         path = tmp_path / argv[1]
