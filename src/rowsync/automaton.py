@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 import re
 from array import array
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, combinations, combinations_with_replacement, permutations, product
 from math import factorial, prod
@@ -61,10 +61,11 @@ class Dfa:
     delta: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"state count must be positive, got {self.n}")
-        if self.k < 1:
-            raise DomainError(f"alphabet size must be positive, got {self.k}")
+        for name, size in (("state count", self.n), ("alphabet size", self.k)):
+            if type(size) is not int:
+                raise DomainError(f"{name} must be an int, got {size!r}")
+            if size < 1:
+                raise DomainError(f"{name} must be positive, got {size}")
         delta = tuple(map(tuple, self.delta))
         object.__setattr__(self, "delta", delta)
         if len(delta) != self.k:
@@ -164,6 +165,12 @@ def _successor_masks(rows: Sequence[Sequence[int]], first: int) -> list[int]:
     return masks
 
 
+def _search_capacity_error(n: int, limit: int) -> CapacityError:
+    """The refusal of an exact search on n states above limit."""
+    return CapacityError(f"exact subset search handles n <= {limit} (got n = {n}); "
+                         "raise the limit or fall back to greedy_reset_word")
+
+
 def _search(delta: Sequence[Sequence[int]], limit: int, tables=None) -> Word | None:
     """The subset search on trusted raw rows: a Dfa's delta, or rows the enum
     walker built from range(n).
@@ -201,10 +208,7 @@ def _search(delta: Sequence[Sequence[int]], limit: int, tables=None) -> Word | N
     """
     n, k = len(delta[0]), len(delta)
     if n > limit:
-        raise CapacityError(
-            f"exact subset search handles n <= {limit} (got n = {n}); "
-            "raise the limit or fall back to greedy_reset_word"
-        )
+        raise _search_capacity_error(n, limit)
     if n == 1:
         return ()
     w = -(-n // 3)
@@ -311,27 +315,24 @@ def _pair_merge_table(dfa: Dfa) -> tuple[dict[tuple[int, int], int], dict[tuple[
     a shortest word sending both states to one state, letter a first letter
     of such a word.  Pairs that cannot merge are absent from both maps.
     """
-    n, k = dfa.n, dfa.k
     dist: dict[tuple[int, int], int] = {}
     letter: dict[tuple[int, int], int] = {}
     rev: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {}
-    queue: deque[tuple[int, int]] = deque()
-    for p in range(n):
-        for q in range(p + 1, n):
-            pair = (p, q)
-            for a in range(k):
-                pa, qa = dfa.delta[a][p], dfa.delta[a][q]
-                if pa == qa:
-                    if pair not in dist:
-                        dist[pair] = 1
-                        letter[pair] = a
-                        queue.append(pair)
-                else:
-                    tgt = (pa, qa) if pa < qa else (qa, pa)
-                    if tgt != pair:
-                        rev.setdefault(tgt, []).append((pair, a))
-    while queue:
-        cur = queue.popleft()
+    queue: list[tuple[int, int]] = []  # the BFS below reads the pairs it appends
+    for pair in combinations(range(dfa.n), 2):
+        p, q = pair
+        for a, row in enumerate(dfa.delta):
+            pa, qa = row[p], row[q]
+            if pa == qa:
+                if pair not in dist:
+                    dist[pair] = 1
+                    letter[pair] = a
+                    queue.append(pair)
+            else:
+                tgt = (pa, qa) if pa < qa else (qa, pa)
+                if tgt != pair:
+                    rev.setdefault(tgt, []).append((pair, a))
+    for cur in queue:
         d = dist[cur] + 1
         for src, a in rev.get(cur, ()):
             if src not in dist:
@@ -350,8 +351,8 @@ def is_synchronizing(dfa: Dfa) -> bool:
 def greedy_reset_word(dfa: Dfa) -> Word | None:
     """Pair-merging heuristic reset word, or None if not synchronizing.
 
-    Repeatedly drives a cheapest-to-merge pair of current states to a
-    collision.  Deterministic and polynomial, but in general longer than
+    Repeatedly drives the least cheapest-to-merge pair of current states to
+    a collision.  Deterministic and polynomial, but in general longer than
     the word shortest_reset_word returns.
     """
     n = dfa.n
@@ -361,7 +362,7 @@ def greedy_reset_word(dfa: Dfa) -> Word | None:
     current = frozenset(range(n))
     out: list[int] = []
     while len(current) > 1:
-        p, q = min(combinations(sorted(current), 2), key=lambda pr: (dist[pr], pr))
+        p, q = min(combinations(sorted(current), 2), key=dist.__getitem__)
         while p != q:
             a = letter[(p, q) if p < q else (q, p)]
             out.append(a)
@@ -519,7 +520,7 @@ def _letter0_tables(n: int):
     """
     w = -(-n // 3)
     sizes = (w, min(w, n - w), max(n - 2 * w, 0))
-    pieces = {s: [_chunk_tables([1 << t for t in piece], w)[0] for piece in product(range(n), repeat=s)]
+    pieces = {s: [_chunk_tables(_successor_masks((piece,), 0), w)[0] for piece in product(range(n), repeat=s)]
               for s in set(sizes)}
     p0, p1, p2 = map(pieces.get, sizes)
     m1, m2 = n ** sizes[1], n ** sizes[2]
@@ -549,7 +550,7 @@ def _enum_shard_stats(params: tuple) -> dict:
     letters 1..k-1, a prefix that many tables share (row 1 for k = 2, the
     unit for k = 3).  Its chunk tables are built once per prefix and ORed
     with letter 0's from _letter0_tables; k = 1 builds its own.  Returns the
-    synchronizing count, the length histogram and the total weight covered.
+    length histogram, whose counts sum to the synchronizing count, and the weight covered.
     """
     n, k, classes, class_id, limit, picked = params
     maps = list(product(range(n), repeat=n)) if k > 1 else []
@@ -592,7 +593,7 @@ def _enum_shard_stats(params: tuple) -> dict:
                 word = _search((maps[i], *prefix), limit, combine(i, tables))
                 if word is not None:
                     hist[len(word)] += table_weight
-    return {"sync": sum(hist.values()), "hist": hist, "weight": covered}
+    return {"hist": hist, "weight": covered}
 
 
 def _random_dfa(rng: random.Random, n: int, k: int) -> Dfa:

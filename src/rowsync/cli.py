@@ -14,13 +14,13 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from multiprocessing import Pool
 
 from .automaton import (DEFAULT_ENUM_BUDGET, EXACT_SEARCH_LIMIT, Dfa, _enum_shard_stats,
-                        cerny_automaton, cerny_bound, conjugacy_classes, count_dfas, cubic_bound,
-                        format_word, greedy_reset_word, is_strongly_connected,
+                        _search_capacity_error, cerny_automaton, cerny_bound, conjugacy_classes,
+                        count_dfas, cubic_bound, format_word, greedy_reset_word, is_strongly_connected,
                         parse_word, random_dfa, read_dfa, shortest_reset_word, to_dot, write_dfa_text)
 from .errors import CapacityError, RowsyncError
 from .probe import allocation_probe, prefix_trace
@@ -51,9 +51,8 @@ class RunConfig:
     output: str | None = None
 
     def public_fields(self) -> dict:
-        fields = asdict(self)
-        fields.pop("output")
-        fields.pop("json_output")
+        fields = dict(vars(self))  # a copy: vars() is this frozen instance's live dict
+        del fields["output"], fields["json_output"]
         return fields
 
 
@@ -180,13 +179,14 @@ def _run_check(config: RunConfig) -> RunResult:
              f"strongly connected: {'yes' if strong else 'no'}",
              f"synchronizing: {'yes' if sync else 'no'}"]
     if shortest is not None:
-        lines.append(f"shortest reset word: {format_word(shortest, dfa.k) or '(empty)'} (length {len(shortest)})")
-        lines.append(f"bound (n-1)^2 = {bound}: {'within bound' if len(shortest) <= bound else 'EXCEEDS BOUND'}")
+        lines.append(f"shortest reset word: {report['shortest_word'] or '(empty)'} (length {len(shortest)})")
+        lines.append(f"bound (n-1)^2 = {bound}: {'within bound' if report['within_bound'] else 'EXCEEDS BOUND'}")
     elif note:
         lines.append(f"exact search skipped: {note}")
     if greedy is not None:
-        lines.append(f"greedy reset word length: {len(greedy)} (reference (n^3-n)/6 = {cubic_bound(dfa.n)})")
-    code = 2 if (shortest is not None and len(shortest) > bound) else 0
+        lines.append(f"greedy reset word length: {len(greedy)} "
+                     f"(reference (n^3-n)/6 = {report['cubic_reference']})")
+    code = 2 if report["within_bound"] is False else 0
     return RunResult(code, _document(config, report), "\n".join(lines) + "\n")
 
 
@@ -208,10 +208,10 @@ def _run_matrix(config: RunConfig) -> RunResult:
         "rank": rank(m),
         "is_permutation": is_permutation(m),
     }
-    human = (m.render_grid() + "\n"
+    human = ("\n".join(report["grid"]) + "\n"
              + f"targets {m.compact()}\n"
-             + f"nonzero columns {{{', '.join(str(c) for c in cols)}}}, rank {rank(m)}"
-             + (", permutation" if is_permutation(m) else "") + "\n")
+             + f"nonzero columns {{{', '.join(str(c) for c in cols)}}}, rank {report['rank']}"
+             + (", permutation" if report["is_permutation"] else "") + "\n")
     return RunResult(0, _document(config, report), human)
 
 
@@ -235,7 +235,7 @@ def _run_probe(config: RunConfig) -> RunResult:
     report = rep.to_json_dict()
     m = rep.matching
     lines = [
-        f"reset word: {format_word(word, dfa.k)} (length {len(word)}), sink {rep.q}",
+        f"reset word: {report['reset_word']} (length {len(word)}), sink {rep.q}",
         f"prefixes offered: {m.prefix_count}, cells: {m.cell_count}, "
         f"matching: {'full' if m.success else f'short by {len(m.unmatched_prefix_lengths)}'}",
     ]
@@ -257,14 +257,13 @@ def _run_lemmas(config: RunConfig) -> RunResult:
     results = run_all(seed=config.seed)
     report = {"suites": [r.to_json() for r in results]}
     lines = []
-    all_ok = True
     for r in results:
         status = "ok" if r.ok else f"{len(r.violations)} violations"
         lines.append(f"{r.name}: {r.checks} checks, {status}")
         for v in r.violations[:5]:
             lines.append(f"  {v}")
-        all_ok = all_ok and r.ok
-    return RunResult(0 if all_ok else 2, _document(config, report), "\n".join(lines) + "\n")
+    code = 0 if all(r.ok for r in results) else 2
+    return RunResult(code, _document(config, report), "\n".join(lines) + "\n")
 
 
 def _run_gen(config: RunConfig) -> RunResult:
@@ -291,8 +290,7 @@ def _run_enum(config: RunConfig) -> RunResult:
                             "raise --budget to proceed")
     # Every table is searched, so refuse here what _search would refuse on the first one.
     if n > config.limit:
-        raise CapacityError(f"exact subset search handles n <= {config.limit} (got n = {n}); "
-                            "raise the limit or fall back to greedy_reset_word")
+        raise _search_capacity_error(n, config.limit)
     # n^n <= n^(nk) <= budget, so the class listing's 2 n^n bytes are covered too.
     classes, class_id = conjugacy_classes(n)
     # Worker i takes the row-1 classes i, i + workers, ... and walks only their
@@ -310,10 +308,10 @@ def _run_enum(config: RunConfig) -> RunResult:
     covered = sum(p["weight"] for p in parts)
     if covered != total:
         raise RowsyncError(f"enum weights cover {covered} of the {total} tables; the listing is wrong")
-    sync = sum(p["sync"] for p in parts)
     hist = sum((p["hist"] for p in parts), Counter())
+    sync = sum(hist.values())
     bound = cerny_bound(n)
-    max_length = max(hist) if hist else None
+    max_length = max(hist, default=None)
     exceeds = sum(c for length, c in hist.items() if length > bound)
     report = {
         "n": n, "k": k,
@@ -322,7 +320,7 @@ def _run_enum(config: RunConfig) -> RunResult:
         "examined": sync if config.filter == "sync" else total,
         "length_histogram": {str(length): hist[length] for length in sorted(hist)},
         "max_length": max_length,
-        "max_length_count": hist.get(max_length, 0) if max_length is not None else 0,
+        "max_length_count": hist[max_length],
         "bound": bound,
         "exceeds_bound": exceeds,
         "verdict": "exceeds-bound" if exceeds else "within-bound",

@@ -313,17 +313,15 @@ def allocation_probe(dfa: Dfa, word: Sequence[int], q: int | None = None,
     trace = _trace(n, w, matrices, images)
     records = trace.records
 
-    cell_columns = _distinctive_columns(n, sink)
-    cell_limit = max(0, n * (n - 2))
-    collected = [i for i, r in enumerate(records) if r.r_size > 1]
-    if len(collected) > cell_limit:
-        notes.append(f"{len(collected)} prefixes with rank above one, keeping the first {cell_limit}")
-        collected = collected[:cell_limit]
-
     # Cells are listed column-major, so cell (r, c) sits at index
     # cell_columns.index(c) * n + r, and a prefix's cells come in that order.
+    cell_columns = _distinctive_columns(n, sink)
     cells = [(r, c) for c in cell_columns for r in range(n)]
     starts = range(0, len(cells), n)
+    collected = [i for i, r in enumerate(records) if r.r_size > 1]
+    if len(collected) > len(cells):
+        notes.append(f"{len(collected)} prefixes with rank above one, keeping the first {len(cells)}")
+        collected = collected[:len(cells)]
 
     # Image sizes never grow along the word, so in prefix order the prefixes
     # with larger images are offered to the matching first.

@@ -27,6 +27,8 @@ class RowMonomialMatrix:
     targets: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise DomainError(f"size must be an int, got {self.n!r}")
         if self.n < 1:
             raise DomainError(f"size must be positive, got {self.n}")
         object.__setattr__(self, "targets", tuple(self.targets))

@@ -9,9 +9,10 @@ against a brute force over all permutations and against a raw sweep of
 every table.
 """
 
+import hashlib
 import random
 from collections import Counter
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
@@ -88,6 +89,11 @@ def test_dfa_validation():
     # bool is a subclass of int, so an isinstance test would let these through.
     (2, 2, ((True, True), (0, False)), "delta[0][0] = True outside [0, 2)"),
     (2, 2, ((0, 1), (1, False)), "delta[1][1] = False outside [0, 2)"),
+    # Sizes are exact ints too: Dfa(True, True, ...) would write "True True" as its header.
+    (True, True, ((0,),), "state count must be an int, got True"),
+    (2.0, 1, ((0, 1),), "state count must be an int, got 2.0"),
+    (2, True, ((0, 1),), "alphabet size must be an int, got True"),
+    (2, 1.0, ((0, 1),), "alphabet size must be an int, got 1.0"),
 ])
 def test_dfa_validation_messages(n, k, delta, message):
     with pytest.raises(DomainError) as err:
@@ -356,6 +362,60 @@ def test_greedy_beyond_exact_limit():
     w = greedy_reset_word(d)
     assert w is not None
     assert len(image(d, range(30), w)) == 1
+
+
+def pair_table_inputs():
+    """Every (3,2) and (2,3) table, Cerny C_2..C_24 and 200 seeded random
+    automata (n = 2..24, k = 1..3; with k = 1 many pairs never merge)."""
+    rng = random.Random(20)
+    cases = [*all_tables(3, 2), *all_tables(2, 3), *map(cerny_automaton, range(2, 25))]
+    for _ in range(200):
+        n, k = rng.randint(2, 24), rng.randint(1, 3)
+        cases.append(Dfa(n, k, tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(k))))
+    return cases
+
+
+def test_pair_table_and_greedy_words_pinned():
+    # sha256 over every input's sorted distances, sorted first letters and
+    # greedy word.  A change to a tie-break or a letter choice changes it,
+    # where the pinned check reports would see only some.
+    digest = hashlib.sha256()
+    for d in pair_table_inputs():
+        dist, letter = rowsync.automaton._pair_merge_table(d)
+        digest.update(repr((sorted(dist.items()), sorted(letter.items()), greedy_reset_word(d))).encode())
+    assert digest.hexdigest() == "1df6a9c35e97379087ea4ae6c2aa41f504c85f1000e5d3a52194cb83e63a7a9b"
+
+
+def pair_merge_oracle(dfa):
+    """Shortest merging length of each pair (p, q), p < q, that merges: a
+    breadth-first search over two-state sets, from that pair alone."""
+    out = {}
+    for p, q in combinations(range(dfa.n), 2):
+        level = seen = {frozenset((p, q))}
+        depth = 0
+        while level and (p, q) not in out:
+            depth += 1
+            images = {frozenset(row[s] for s in pair) for pair in level for row in dfa.delta}
+            if any(len(pair) == 1 for pair in images):
+                out[p, q] = depth
+            level = images - seen
+            seen = seen | level
+    return out
+
+
+def test_pair_table_against_pair_bfs():
+    unmerged = 0
+    for d in pair_table_inputs():
+        dist, letter = rowsync.automaton._pair_merge_table(d)
+        assert dist == pair_merge_oracle(d), d.delta
+        assert letter.keys() == dist.keys(), d.delta
+        # The letter starts a shortest merging word: it merges the pair or
+        # leads to a pair one step closer.
+        for (p, q), a in letter.items():
+            s, t = sorted((d.delta[a][p], d.delta[a][q]))
+            assert s == t or dist.get((s, t)) == dist[p, q] - 1, (d.delta, p, q)
+        unmerged += d.n * (d.n - 1) // 2 - len(dist)
+    assert unmerged > 0
 
 
 def test_strong_connectivity():

@@ -281,10 +281,10 @@ def test_enum_class_shards_add_up():
         picks = (range(0, 1), range(1, 3), range(3, len(classes), 2), range(4, len(classes), 2))
         parts = [_enum_shard_stats((n, k, classes, class_id, 24, picked)) for picked in picks]
         assert sum(part["weight"] for part in parts) == total
-        assert sum(part["sync"] for part in parts) == sync
+        assert sum(sum(part["hist"].values()) for part in parts) == sync
         assert sum((part["hist"] for part in parts), Counter()) == histogram
         for dropped in range(len(parts)):
-            assert sum(part["sync"] for i, part in enumerate(parts) if i != dropped) != sync
+            assert sum(sum(part["hist"].values()) for i, part in enumerate(parts) if i != dropped) != sync
 
 
 def test_enum_search_counts(monkeypatch):
@@ -460,6 +460,17 @@ def test_config_round_trip():
     config = config_from_args(args)
     assert config == RunConfig(command="probe", path="x.txt", word="ab", q=1, json_output=True)
     assert "json_output" not in config.public_fields()
+
+
+def test_public_fields_is_a_fresh_copy():
+    config = RunConfig(command="enum", n=3, k=2, json_output=True, output="out.json")
+    fields = config.public_fields()
+    assert list(fields) == [f for f in RunConfig.__dataclass_fields__ if f not in ("output", "json_output")]
+    first = dict(fields)
+    del fields["command"]
+    fields["n"] = 99
+    assert (config.command, config.n, config.output, config.json_output) == ("enum", 3, "out.json", True)
+    assert config.public_fields() == first
 
 
 def test_run_with_config_object(cerny3_path):

@@ -43,8 +43,10 @@ def test_validation():
     (2, [1.5, 7], "targets[0] = 1.5 outside [0, 2)"),
     (3, (0, 1), "need 3 row targets, got 2"),
     (3, (0, 1, 2, 0), "need 3 row targets, got 4"),
+    (True, (0,), "size must be an int, got True"),
+    (2.0, (0, 1), "size must be an int, got 2.0"),
 ], ids=["float", "negative", "out-of-range", "none", "string", "bool-beside-bad", "first-bad-named",
-        "short", "long"])
+        "short", "long", "bool-size", "float-size"])
 def test_validation_messages(n, targets, message):
     with pytest.raises(DomainError) as err:
         RowMonomialMatrix(n, targets)
