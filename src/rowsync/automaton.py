@@ -52,6 +52,12 @@ _ALPHA = "abcdefghijklmnopqrstuvwxyz"
 _RACE = 16
 
 
+def _require_int(name: str, size) -> None:
+    """Refuse a size whose type is not exactly int, such as True or 2.0."""
+    if type(size) is not int:
+        raise DomainError(f"{name} must be an int, got {size!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Dfa:
     """Complete DFA: ``delta[a][q]`` is the successor of state q under letter a."""
@@ -62,8 +68,7 @@ class Dfa:
 
     def __post_init__(self):
         for name, size in (("state count", self.n), ("alphabet size", self.k)):
-            if type(size) is not int:
-                raise DomainError(f"{name} must be an int, got {size!r}")
+            _require_int(name, size)
             if size < 1:
                 raise DomainError(f"{name} must be positive, got {size}")
         delta = tuple(map(tuple, self.delta))
@@ -127,17 +132,21 @@ def parse_word(text: str, k: int) -> Word:
         if None in letters:
             raise InvalidWordError(f"cannot parse word {text!r} as letter indices")
     else:
-        letters = ()
-        for ch in text:
-            pos = _ALPHA.find(ch.lower())
-            if pos < 0:
-                raise InvalidWordError(f"cannot parse letter {ch!r} in word {text!r}")
-            letters += (pos,)
+        # ch.lower() per character, so 'İ' stays refused and the Kelvin sign reads as 'k'.
+        letters = tuple(_ALPHA.find(ch.lower()) for ch in text)
+        if -1 in letters:
+            ch = text[letters.index(-1)]
+            raise InvalidWordError(f"cannot parse letter {ch!r} in word {text!r}")
     for a in letters:
         if not 0 <= a < k:
             name = format_word((a,), k) if 0 <= a < len(_ALPHA) else a
             raise InvalidWordError(f"letter {name} outside alphabet of size {k}")
     return letters
+
+
+def _chunk_width(n: int) -> int:
+    """ceil(n/3), the states per chunk of _search's tables, the enum walker's included."""
+    return -(-n // 3)
 
 
 def _chunk_tables(masks: Sequence[int], w: int) -> tuple[list[int], list[int], list[int]]:
@@ -211,7 +220,7 @@ def _search(delta: Sequence[Sequence[int]], limit: int, tables=None) -> Word | N
         raise _search_capacity_error(n, limit)
     if n == 1:
         return ()
-    w = -(-n // 3)
+    w = _chunk_width(n)
     if tables is None:
         tables = _chunk_tables(_successor_masks(delta, 0), w)
     t0, t1, t2 = tables
@@ -413,6 +422,7 @@ def cerny_automaton(n: int) -> Dfa:
     Letter a cycles every state forward by one; letter b moves state 0 to 1
     and fixes everything else.
     """
+    _require_int("state count", n)
     if n < 2:
         raise DomainError(f"construction needs n >= 2, got {n}")
     a = tuple((i + 1) % n for i in range(n))
@@ -422,6 +432,8 @@ def cerny_automaton(n: int) -> Dfa:
 
 def count_dfas(n: int, k: int) -> int:
     """n^(n*k), the number of complete transition tables with n states and k letters."""
+    _require_int("state count", n)
+    _require_int("alphabet size", k)
     if n < 1 or k < 1:
         raise DomainError(f"need n >= 1 and k >= 1, got n = {n}, k = {k}")
     return n ** (n * k)
@@ -453,6 +465,7 @@ def conjugacy_classes(n: int) -> tuple[list[tuple[tuple[int, ...], int]], array]
     n^n entries, so this takes 2 n^n bytes and O(n^n + c n! n) time for c
     classes.
     """
+    _require_int("state count", n)
     if n < 1:
         raise DomainError(f"need n >= 1, got n = {n}")
     relabellings = _relabellings(n)
@@ -518,7 +531,7 @@ def _letter0_tables(n: int):
     once.  For chunk sizes s0, s1, s2 the pieces have the indices
     j // n^(s1+s2), j // n^s2 % n^s1 and j % n^s2.
     """
-    w = -(-n // 3)
+    w = _chunk_width(n)
     sizes = (w, min(w, n - w), max(n - 2 * w, 0))
     pieces = {s: [_chunk_tables(_successor_masks((piece,), 0), w)[0] for piece in product(range(n), repeat=s)]
               for s in set(sizes)}
@@ -559,7 +572,7 @@ def _enum_shard_stats(params: tuple) -> dict:
         for j, c in enumerate(class_id):
             members[c].append(j)
     combine = _letter0_tables(n)
-    w = -(-n // 3)
+    w = _chunk_width(n)
     tails: dict[tuple[int, int], list] = {}
     held = None
     hist: Counter[int] = Counter()
@@ -603,6 +616,8 @@ def _random_dfa(rng: random.Random, n: int, k: int) -> Dfa:
 
 def random_dfa(n: int, k: int, seed: int) -> Dfa:
     """Uniform independent transitions; a fixed seed fixes the table."""
+    _require_int("state count", n)
+    _require_int("alphabet size", k)
     return _random_dfa(random.Random(seed), n, k)
 
 

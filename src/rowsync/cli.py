@@ -239,7 +239,7 @@ def _run_probe(config: RunConfig) -> RunResult:
         f"prefixes offered: {m.prefix_count}, cells: {m.cell_count}, "
         f"matching: {'full' if m.success else f'short by {len(m.unmatched_prefix_lengths)}'}",
     ]
-    if rep.independence_rank is not None:
+    if m.success:
         lines.append(f"solutions verified: {'yes' if rep.solutions_ok else 'NO'}; "
                      f"family rank {rep.independence_rank} of {rep.independence_expected} "
                      f"({'independent' if rep.independence_ok else 'DEPENDENT'})")

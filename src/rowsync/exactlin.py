@@ -235,7 +235,6 @@ class SumConditionVerdict:
     """
 
     ok: bool
-    expected: int
     coefficient_sum: Fraction
     row_sums: tuple[Fraction, ...]
     violations: tuple[str, ...]
@@ -268,9 +267,8 @@ def check_sum_conditions(coeffs: Sequence[Fraction],
     for i, s in enumerate(row_sums):
         if s != expected:
             violations.append(f"row {i} sums to {s} != {expected}")
-    return SumConditionVerdict(ok=not violations, expected=expected,
-                               coefficient_sum=coefficient_sum, row_sums=row_sums,
-                               violations=tuple(violations))
+    return SumConditionVerdict(ok=not violations, coefficient_sum=coefficient_sum,
+                               row_sums=row_sums, violations=tuple(violations))
 
 
 def vij_basis(n: int, k: int) -> list[RowMonomialMatrix]:

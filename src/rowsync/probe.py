@@ -3,7 +3,7 @@
 Nothing in here presumes the procedure works: every step measures what
 actually happens and the report carries plain verdicts.  The probe takes a
 synchronizing word and walks its prefixes once: the trace, the matching and
-the prefix-column verdicts read each prefix's matrix and image from that
+the prefix-column verdicts read each prefix's targets and image from that
 walk.  It assigns each prefix matrix a distinctive cell through an exact
 maximum bipartite matching and builds the corresponding solutions of the
 sink equation.  That they solve it and stay independent is a property of
@@ -20,7 +20,7 @@ from typing import Sequence
 from .automaton import (Dfa, Word, cerny_bound, check_word, format_prefixes, format_word,
                         shortest_reset_length, EXACT_SEARCH_LIMIT)
 from .errors import CapacityError, DomainError, RowsyncError
-from .exactlin import RationalBasis, units
+from .exactlin import RationalBasis
 from .rowmon import RowMonomialMatrix
 
 __all__ = [
@@ -54,21 +54,21 @@ class PrefixTrace:
 
 
 def _walk(dfa: Dfa, word: Sequence[int], q: int | None = None
-          ) -> tuple[Word, int, list[RowMonomialMatrix], list[frozenset[int]]]:
-    """Check a reset word and build the matrix and image of each nonempty prefix.
+          ) -> tuple[Word, int, list[tuple[int, ...]], list[frozenset[int]]]:
+    """Check a reset word and walk its nonempty prefixes.
 
-    One walk along the word gives every prefix matrix, shortest first, next
-    to its image (the set of its nonzero columns), and the state the word
-    synchronizes to; that state must equal q when q is given.
+    One walk along the word gives each prefix matrix's row targets, shortest
+    first, next to its image (the set of its nonzero columns), and the state
+    the word synchronizes to; that state must equal q when q is given.  The
+    Dfa is validated, so no prefix needs a RowMonomialMatrix.
     """
     w = check_word(dfa, word)
-    n = dfa.n
-    targets = tuple(range(n))
-    matrices, images = [], []
+    targets = tuple(range(dfa.n))
+    prefixes, images = [], []
     for a in w:
         row = dfa.delta[a]
         targets = tuple([row[t] for t in targets])
-        matrices.append(RowMonomialMatrix(n=n, targets=targets))
+        prefixes.append(targets)
         images.append(frozenset(targets))
     image = images[-1] if images else frozenset(targets)
     if len(image) != 1:
@@ -78,15 +78,15 @@ def _walk(dfa: Dfa, word: Sequence[int], q: int | None = None
     sink = targets[0]
     if q is not None and q != sink:
         raise DomainError(f"word synchronizes to state {sink}, not to q = {q}")
-    return w, sink, matrices, images
+    return w, sink, prefixes, images
 
 
-def _trace(n: int, w: Word, matrices: Sequence[RowMonomialMatrix],
+def _trace(n: int, w: Word, prefixes: Sequence[tuple[int, ...]],
            images: Sequence[frozenset[int]]) -> PrefixTrace:
     basis = RationalBasis(n * n)
     records = []
-    for i, (m, image) in enumerate(zip(matrices, images), start=1):
-        basis.insert(units(m))
+    for i, (targets, image) in enumerate(zip(prefixes, images), start=1):
+        basis.insert({r * n + t: 1 for r, t in enumerate(targets)})
         records.append(PrefixRecord(length=i, r_size=len(image), dimension=basis.dimension))
     return PrefixTrace(word=w, records=tuple(records))
 
@@ -98,8 +98,8 @@ def prefix_trace(dfa: Dfa, word: Sequence[int]) -> PrefixTrace:
     and the span dimension never drops; both facts are recorded here and
     asserted elsewhere.
     """
-    w, _, matrices, images = _walk(dfa, word)
-    return _trace(dfa.n, w, matrices, images)
+    w, _, prefixes, images = _walk(dfa, word)
+    return _trace(dfa.n, w, prefixes, images)
 
 
 def maximum_matching(adjacency: Sequence[Sequence[int]], right_size: int) -> list[int | None]:
@@ -156,17 +156,23 @@ def maximum_matching(adjacency: Sequence[Sequence[int]], right_size: int) -> lis
 class MatchingReport:
     """Outcome of the prefix-to-cell assignment.
 
-    assignments holds one entry per collected prefix, in prefix order:
-    (prefix_length, row, column) when matched, None when the matching left
-    that prefix without a cell.
+    assignments holds one entry per prefix offered to the matching, in
+    prefix order: (prefix_length, row, column) when matched, None when the
+    matching left that prefix without a cell.
     """
 
-    success: bool
-    prefix_count: int
     cell_count: int
     cell_columns: tuple[int, ...]
     assignments: tuple[tuple[int, int, int] | None, ...]
     unmatched_prefix_lengths: tuple[int, ...]
+
+    @property
+    def success(self) -> bool:
+        return not self.unmatched_prefix_lengths
+
+    @property
+    def prefix_count(self) -> int:
+        return len(self.assignments)
 
     def to_json(self) -> dict:
         return {
@@ -185,7 +191,8 @@ class MatchingReport:
 
 @dataclass(frozen=True)
 class PrefixColumnVerdict:
-    """Whether column q of one prefix matrix is nonzero."""
+    """Whether column q of one prefix matrix is nonzero.  Reported, not
+    asserted: a False entry is a counterexample to the prefix-column claim."""
 
     length: int
     holds: bool
@@ -196,9 +203,12 @@ class BoundVerdict:
     """Shortest reset length against the (n-1)^2 bound."""
 
     n: int
-    bound: int
     length: int | None
     status: str
+
+    @property
+    def bound(self) -> int:
+        return cerny_bound(self.n)
 
     def to_json(self) -> dict:
         return {"n": self.n, "bound": self.bound, "length": self.length, "status": self.status}
@@ -213,13 +223,22 @@ class ProbeReport:
     trace: PrefixTrace
     matching: MatchingReport
     solutions: tuple[RowMonomialMatrix, ...]
-    solutions_ok: bool | None
-    independence_rank: int | None
-    independence_expected: int | None
-    independence_ok: bool | None
     prefix_column_verdicts: tuple[PrefixColumnVerdict, ...]
     bound: BoundVerdict
     notes: tuple[str, ...]
+
+    @property
+    def solutions_ok(self) -> bool | None:
+        """True on a full matching, whose certificate it states; None on a shortfall."""
+        return self.matching.success or None
+
+    @property
+    def independence_rank(self) -> int | None:
+        """The family's rank with the sink matrix, len(solutions) + 1 by the certificate."""
+        return len(self.solutions) + 1 if self.matching.success else None
+
+    independence_expected = independence_rank
+    independence_ok = solutions_ok
 
     def to_json_dict(self) -> dict:
         return {
@@ -253,16 +272,6 @@ def _distinctive_columns(n: int, q: int) -> tuple[int, ...]:
     return tuple(c for c in range(n) if c != q and c != spare)
 
 
-def _column_verdicts(images: Sequence[frozenset[int]], sink: int) -> tuple[PrefixColumnVerdict, ...]:
-    """Whether each nonempty prefix matrix keeps column sink nonzero.
-
-    Verdicts are reported, not asserted; a False entry is a counterexample
-    to the prefix-column claim.
-    """
-    return tuple(PrefixColumnVerdict(length=i, holds=sink in image)
-                 for i, image in enumerate(images, start=1))
-
-
 def bound_check(dfa: Dfa, limit: int = EXACT_SEARCH_LIMIT, shortest: int | None = None) -> BoundVerdict:
     """Compare the exact shortest reset length against (n-1)^2.
 
@@ -279,7 +288,7 @@ def bound_check(dfa: Dfa, limit: int = EXACT_SEARCH_LIMIT, shortest: int | None 
         status = "within-bound"
     else:
         status = "exceeds-bound"
-    return BoundVerdict(n=dfa.n, bound=bound, length=length, status=status)
+    return BoundVerdict(n=dfa.n, length=length, status=status)
 
 
 def allocation_probe(dfa: Dfa, word: Sequence[int], q: int | None = None,
@@ -297,8 +306,9 @@ def allocation_probe(dfa: Dfa, word: Sequence[int], q: int | None = None,
     failure is a bug in maximum_matching and raises RowsyncError.  So each
     solution solves its prefix's sink equation, and solution i minus the
     sink matrix is the only member nonzero at cell i, so the family with
-    the sink matrix has rank len(solutions) + 1.  solutions_ok and the
-    independence fields state the construction; they measure nothing.
+    the sink matrix has rank len(solutions) + 1.  The report's solutions_ok
+    and independence properties read that off the matching; they measure
+    nothing.
 
     Prefixes with larger image sets are offered to the matching first; that
     ordering is a tie-break between maximum matchings, not a correctness
@@ -306,11 +316,11 @@ def allocation_probe(dfa: Dfa, word: Sequence[int], q: int | None = None,
     error.  q defaults to the state the word actually synchronizes to.
     limit and shortest are passed to bound_check.
     """
-    w, sink, matrices, images = _walk(dfa, word, q)
+    w, sink, prefixes, images = _walk(dfa, word, q)
     n = dfa.n
     notes: list[str] = ["empty prefix excluded by convention"]
 
-    trace = _trace(n, w, matrices, images)
+    trace = _trace(n, w, prefixes, images)
     records = trace.records
 
     # Cells are listed column-major, so cell (r, c) sits at index
@@ -338,34 +348,22 @@ def allocation_probe(dfa: Dfa, word: Sequence[int], q: int | None = None,
                            "inside a prefix's image; the matching is wrong")
     assignments = tuple((records[i].length, *assigned[i]) if i in assigned else None for i in collected)
     unmatched = tuple(records[i].length for i in collected if i not in assigned)
-    success = not unmatched
-    matching = MatchingReport(success=success,
-                              prefix_count=len(collected),
-                              cell_count=len(cells),
-                              cell_columns=cell_columns,
-                              assignments=assignments,
-                              unmatched_prefix_lengths=unmatched)
+    matching = MatchingReport(cell_count=len(cells), cell_columns=cell_columns,
+                              assignments=assignments, unmatched_prefix_lengths=unmatched)
     solutions: tuple[RowMonomialMatrix, ...] = ()
-    family_rank: int | None = None
-    if success:
+    if matching.success:
         solutions = tuple(RowMonomialMatrix(n=n, targets=tuple(c if x == r else sink for x in range(n)))
                           for _, r, c in assignments)
-        family_rank = len(solutions) + 1
     else:
         notes.append(f"matching shortfall: {len(unmatched)} prefixes without a distinctive cell")
 
-    verdicts = _column_verdicts(images, sink)
+    verdicts = tuple(PrefixColumnVerdict(length=i, holds=sink in image)
+                     for i, image in enumerate(images, start=1))
     try:
         bound = bound_check(dfa, limit, shortest)
     except CapacityError:
-        bound = BoundVerdict(n=n, bound=cerny_bound(n), length=None, status="skipped-capacity")
+        bound = BoundVerdict(n=n, length=None, status="skipped-capacity")
         notes.append("exact bound check skipped: state count above the exact-search limit")
 
-    # True on success and None on a shortfall, as the two verdicts read.
-    certified = success or None
-    return ProbeReport(dfa=dfa, q=sink, trace=trace, matching=matching,
-                       solutions=solutions, solutions_ok=certified,
-                       independence_rank=family_rank,
-                       independence_expected=family_rank,
-                       independence_ok=certified,
+    return ProbeReport(dfa=dfa, q=sink, trace=trace, matching=matching, solutions=solutions,
                        prefix_column_verdicts=verdicts, bound=bound, notes=tuple(notes))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automaton import Dfa, check_word
+from .automaton import Dfa, _require_int, check_word
 from .errors import DomainError
 
 
@@ -27,8 +27,7 @@ class RowMonomialMatrix:
     targets: tuple[int, ...]
 
     def __post_init__(self):
-        if type(self.n) is not int:
-            raise DomainError(f"size must be an int, got {self.n!r}")
+        _require_int("size", self.n)
         if self.n < 1:
             raise DomainError(f"size must be positive, got {self.n}")
         object.__setattr__(self, "targets", tuple(self.targets))

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import rowsync.automaton
 from rowsync.automaton import (EXACT_SEARCH_LIMIT, Dfa, cerny_automaton, cerny_bound,
-                               check_word, conjugacy_classes, cubic_bound, format_prefixes,
+                               check_word, conjugacy_classes, count_dfas, cubic_bound, format_prefixes,
                                format_word, greedy_reset_word, is_strongly_connected,
                                is_synchronizing, parse_word, random_dfa, read_dfa_text,
                                shortest_reset_length, shortest_reset_word, to_dot, write_dfa_text)
@@ -125,6 +125,39 @@ def test_word_rendering_round_trip():
         with pytest.raises(InvalidWordError) as err:
             parse_word(text, 2)
         assert str(err.value) == f"letter {index} outside alphabet of size 2"
+
+
+def test_long_letter_words_parse():
+    word = tuple(random.Random(0).randrange(3) for _ in range(100_000))
+    assert parse_word(format_word(word, 3), 3) == word == parse_word(",".join(map(str, word)), 3)
+    text = "ab" * 50_000 + "!"
+    with pytest.raises(InvalidWordError) as err:
+        parse_word(text, 3)
+    assert str(err.value) == f"cannot parse letter '!' in word {text!r}"
+    # Each letter is lowered alone: the Kelvin sign reads as 'k', and 'İ' lowers to two characters.
+    assert parse_word("a\u212a", 11) == (0, 10)
+    with pytest.raises(InvalidWordError) as err:
+        parse_word("a\u0130", 26)
+    assert str(err.value) == "cannot parse letter '\u0130' in word 'a\u0130'"
+
+
+@pytest.mark.parametrize("build,args,message", [
+    (cerny_automaton, (2.0,), "state count must be an int, got 2.0"),
+    (cerny_automaton, (True,), "state count must be an int, got True"),
+    (conjugacy_classes, (2.0,), "state count must be an int, got 2.0"),
+    (conjugacy_classes, (True,), "state count must be an int, got True"),
+    (random_dfa, (2.0, 1, 0), "state count must be an int, got 2.0"),
+    (random_dfa, (2, 1.0, 0), "alphabet size must be an int, got 1.0"),
+    (count_dfas, (True, 2), "state count must be an int, got True"),
+    (count_dfas, (2.0, 2), "state count must be an int, got 2.0"),
+    (count_dfas, (2, True), "alphabet size must be an int, got True"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_sizes_must_be_ints(build, args, message):
+    # The size-taking functions refuse what Dfa refuses, before range() or
+    # arithmetic can accept a bool or fail on a float.
+    with pytest.raises(DomainError) as err:
+        build(*args)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("token", ["1_0", "+1", "\u0661", "\uff10", "1.0", "0x1", "--1", "-", "9" * 5000],

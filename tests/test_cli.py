@@ -6,14 +6,16 @@ from collections import Counter
 from dataclasses import replace
 from functools import partial
 from itertools import permutations, product
+from math import comb
 
 import pytest
 
 from rowsync.automaton import (Dfa, _enum_shard_stats, cerny_automaton, conjugacy_classes,
-                               is_synchronizing, random_dfa, read_dfa, write_dfa, write_dfa_text)
+                               random_dfa, read_dfa, write_dfa, write_dfa_text)
 from rowsync.cli import RunConfig, RunResult, build_parser, config_from_args, main, render, run
 from rowsync.errors import ParseError, RowsyncError
 from rowsync.suites import run_all
+from test_automaton import pair_merge_oracle
 
 CERNY3_TEXT = "3 2\n1 2 0\n1 1 2\n"
 CERNY4_TEXT = "4 2\n1 2 3 0\n1 1 2 3\n"
@@ -86,15 +88,18 @@ def test_check_not_synchronizing(tmp_path, capsys):
 
 
 def test_check_synchronizing_matches_pair_criterion(tmp_path):
+    # An automaton synchronizes exactly when every pair of states merges.
+    # check reads its verdict off the pair table, so the pairs are merged
+    # here by the test's own BFS.
     cases = [Dfa(2, 2, (flat[:2], flat[2:])) for flat in product(range(2), repeat=4)]
     groups = [Dfa(3, 2, (p, r)) for p in permutations(range(3)) for r in permutations(range(3))]
     cases += groups + [Dfa(3, 2, ((0, 0, 2), (1, 0, 2))), Dfa(3, 2, ((1, 0, 1), (1, 0, 0)))]
-    cases += [Dfa(1, 1, ((0,),)), cerny_automaton(30)]
+    cases += [Dfa(1, 1, ((0,),)), *map(cerny_automaton, range(3, 13)), cerny_automaton(30)]
     for i, dfa in enumerate(cases):
         path = tmp_path / f"{i}.txt"
         write_dfa(dfa, path)
         report = run(RunConfig(command="check", path=str(path))).document["report"]
-        assert report["synchronizing"] == is_synchronizing(dfa), dfa.delta
+        assert report["synchronizing"] == (len(pair_merge_oracle(dfa)) == comb(dfa.n, 2)), dfa.delta
         if dfa in groups:
             assert report["synchronizing"] is False
     # The last case, C_30, is above the default --limit: no exact word, still a greedy one.

@@ -1,5 +1,6 @@
 """Allocation probe, prefix traces, matching, and bound verdicts."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,12 +8,12 @@ import pytest
 import rowsync.probe
 from rowsync.automaton import (Dfa, cerny_automaton, format_word, greedy_reset_word, random_dfa,
                                shortest_reset_word, write_dfa)
-from rowsync.cli import main
+from rowsync.cli import RunConfig, main, run
 from rowsync.equation import is_solution, sink_matrix
 from rowsync.errors import DomainError, RowsyncError
 from rowsync.exactlin import span_dimension
 from rowsync.probe import allocation_probe, bound_check, maximum_matching, prefix_trace
-from rowsync.rowmon import matrix_of_word, multiply, nonzero_columns, rank
+from rowsync.rowmon import RowMonomialMatrix, matrix_of_word, multiply, nonzero_columns, rank
 from test_exactlin import oracle_rank
 
 
@@ -360,3 +361,65 @@ def test_probe_raises_on_a_broken_matching(monkeypatch, tmp_path, capsys):
         assert captured.out == ""
         assert "rowsync: error: maximum_matching assigned" in captured.err
         assert "the matching is wrong" in captured.err
+
+
+def pinned_probe_subjects():
+    """C_2..C_16 and the first 100 synchronizing seeded random automata, each
+    with its shortest and its greedy word; C_n also with a longer word that
+    falls short, and a 25-state collapse above the exact-search limit."""
+    subjects = []
+    for n in range(2, 17):
+        dfa = cerny_automaton(n)
+        word = shortest_reset_word(dfa)
+        subjects += [(dfa, word), (dfa, greedy_reset_word(dfa)), (dfa, (0,) + word)]
+    picked = seed = 0
+    while picked < 100:
+        dfa = random_dfa(3 + seed % 12, 2 + seed % 2, seed=seed)
+        seed += 1
+        word = shortest_reset_word(dfa)
+        if word is not None:
+            subjects += [(dfa, word), (dfa, greedy_reset_word(dfa))]
+            picked += 1
+    subjects.append((Dfa(25, 1, (tuple([0] * 25),)), (0,)))
+    return subjects
+
+
+def test_probe_reports_pinned():
+    # Recorded before the verdicts became properties of the matching: each
+    # report's JSON document and every verdict the report object answers.
+    digest = hashlib.sha256()
+    short = truncated = skipped = 0
+    for dfa, word in pinned_probe_subjects():
+        rep = allocation_probe(dfa, word)
+        digest.update(json.dumps(rep.to_json_dict()).encode())
+        digest.update(repr((rep.matching.success, rep.matching.prefix_count, rep.solutions_ok,
+                            rep.independence_rank, rep.independence_expected, rep.independence_ok,
+                            rep.bound.bound)).encode())
+        short += not rep.matching.success
+        truncated += any("keeping the first" in note for note in rep.notes)
+        skipped += rep.bound.status == "skipped-capacity"
+    assert (short, truncated, skipped) == (14, 28, 1)
+    assert digest.hexdigest() == "fd20b7150fc2c4171d5e890006479bd6e65427d86a75f9c01421c4152a6f7bcf"
+
+
+def test_probe_builds_one_matrix_per_solution_and_trace_none(monkeypatch, tmp_path):
+    # The walk keeps each prefix's targets; the solutions are the only matrices.
+    built = []
+    validate = RowMonomialMatrix.__post_init__
+
+    def counting(self):
+        built.append(list(self.targets))
+        validate(self)
+
+    monkeypatch.setattr(RowMonomialMatrix, "__post_init__", counting)
+    path = tmp_path / "c6.txt"
+    write_dfa(cerny_automaton(6), str(path))
+    # C_6's shortest word, and that word after an 'a', which falls short of a full matching.
+    for word in (None, "a" + "baaaaabaaaaabaaaaabaaaaab"):
+        built.clear()
+        report = run(RunConfig(command="probe", path=str(path), word=word)).document["report"]
+        assert built == report["solutions"]
+        assert len(built) == (24 if word is None else 0)
+    built.clear()
+    run(RunConfig(command="trace", path=str(path)))
+    assert built == []
