@@ -10,8 +10,7 @@ from .automaton import (Dfa, Word, cerny_automaton, cerny_bound, check_word, con
                         is_strongly_connected, is_synchronizing, parse_word, random_dfa, read_dfa,
                         read_dfa_text, shortest_reset_length, shortest_reset_word, to_dot,
                         write_dfa, write_dfa_text, EXACT_SEARCH_LIMIT, DEFAULT_ENUM_BUDGET)
-from .equation import (SolutionSpec, enumerate_solutions, is_solution, leq_q,
-                       minimal_solution, sink_matrix, solution_spec)
+from .equation import enumerate_solutions, is_solution, leq_q, minimal_solution, sink_matrix
 from .errors import CapacityError, DomainError, InvalidWordError, ParseError, RowsyncError
 from .exactlin import (RationalBasis, SumConditionVerdict, all_row_monomial,
                        check_sum_conditions, decompose_vij, express, express_vectors,

@@ -1,20 +1,20 @@
 """Exact rational linear algebra over flattened matrices.
 
 A matrix enters the basis as its n unit positions, {i*n + t: 1} from
-units(); flatten() gives the dense row-major n*n vector that combine,
-express and decompose_vij read.  One echelon basis, RationalBasis, answers
-every rank, membership and coefficient question with one fraction-free
-elimination step on sparse integer rows, {position: nonzero value}:
-cross-multiply to clear a pivot entry.  A step scales the residue, and then
-divides out its gcd, only when the stored row's leading entry is not 1; a
-kept row is divided by its gcd, with its leading entry made positive, once,
-when it is stored, and not at all when that entry is 1.  The basis keeps its
-rows keyed by pivot, and a row monomial matrix has only n units among its
-n*n slots, so a step costs the nonzeros of two rows rather than their
-width.  express_vectors tags each vector with a unit of its own, so the
-target's residue carries its coefficients; rationals appear only when it
-reads them off.  No floating point anywhere, so ranks, span membership and
-coefficients are exact.
+units(); flatten() gives the dense row-major n*n vector that express and
+decompose_vij read, and combine adds up cells from the matrices' targets.
+One echelon basis, RationalBasis, answers every rank, membership and
+coefficient question with one fraction-free elimination step on sparse
+integer rows, {position: nonzero value}: cross-multiply to clear a pivot
+entry.  A step scales the residue, and then divides out its gcd, only when
+the stored row's leading entry is not 1; a kept row is divided by its gcd,
+with its leading entry made positive, once, when it is stored, and not at
+all when that entry is 1.  The basis keeps its rows keyed by pivot, and a
+row monomial matrix has only n units among its n*n slots, so a step costs
+the nonzeros of two rows rather than their width.  express_vectors tags
+each vector with a unit of its own, so the target's residue carries its
+coefficients; rationals appear only when it reads them off.  No floating
+point anywhere, so ranks, span membership and coefficients are exact.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from itertools import compress, product
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .equation import sink_matrix
+from .automaton import _require_int
 from .errors import DomainError
 from .rowmon import RowMonomialMatrix
 
@@ -279,6 +279,8 @@ def vij_basis(n: int, k: int) -> list[RowMonomialMatrix]:
     in column k-1.  That is n*(k-1) + 1 matrices; their span contains every
     row monomial matrix whose targets stay below k.
     """
+    _require_int("size", n)
+    _require_int("column count", k)
     if not 2 <= k <= n:
         raise DomainError(f"need 2 <= k <= n, got k = {k}, n = {n}")
     out = []
@@ -299,6 +301,7 @@ def decompose_vij(t: RowMonomialMatrix, k: int) -> RationalCoefficients:
     counts those units.  The result is re-evaluated before returning.
     """
     n = t.n
+    _require_int("column count", k)
     if not 2 <= k <= n:
         raise DomainError(f"need 2 <= k <= n, got k = {k}, n = {n}")
     for i, tgt in enumerate(t.targets):
@@ -320,14 +323,15 @@ def all_row_monomial(n: int, columns: Sequence[int] | None = None) -> Iterable[R
     """Every row monomial n x n matrix, targets drawn from the given columns.
 
     Lexicographic in the target sequence.  Default is all n columns, which
-    yields n^n matrices; keep n small.
+    yields n^n matrices; keep n small.  The arguments are checked when it is
+    called, not when the matrices are drawn.
     """
+    _require_int("size", n)
     cols = tuple(range(n)) if columns is None else tuple(sorted(set(columns)))
     for c in cols:
         if not 0 <= c < n:
             raise DomainError(f"column {c} outside [0, {n})")
-    for targets in product(cols, repeat=n):
-        yield RowMonomialMatrix(n=n, targets=targets)
+    return (RowMonomialMatrix(n=n, targets=targets) for targets in product(cols, repeat=n))
 
 
 def two_column_span_dimension(n: int, c: int, d: int) -> int:
@@ -354,4 +358,4 @@ def sink_family_dimension(n: int) -> int:
 
     The other candidate reading: one matrix per column, each of rank one.
     """
-    return span_dimension(sink_matrix(n, q) for q in range(n))
+    return span_dimension(m for q in range(n) for m in all_row_monomial(n, columns=(q,)))

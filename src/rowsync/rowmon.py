@@ -52,6 +52,7 @@ class RowMonomialMatrix:
 
 
 def identity(n: int) -> RowMonomialMatrix:
+    _require_int("size", n)
     return RowMonomialMatrix(n=n, targets=tuple(range(n)))
 
 

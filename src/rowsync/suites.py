@@ -204,7 +204,7 @@ def sink_equation_suite(random_samples: int = DEFAULT_FAMILY_SAMPLES, seed: int 
         bad = [s for s in sols if not is_solution(m_u, s, 0)]
         if bad:
             result.violations.append(f"{tag}: {len(bad)} enumerated candidates fail the equation")
-        minimal = list(enumerate_solutions(m_u, 0, restriction=[c for c in range(n) if c != 0]))
+        minimal = list(enumerate_solutions(m_u, 0, minimal=True))
         if len(minimal) != (n - 1) ** free:
             result.violations.append(f"{tag}: found {len(minimal)} minimal solutions, expected {(n - 1) ** free}")
         lo = minimal_solution(m_u, 0)

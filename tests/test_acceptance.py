@@ -2,14 +2,13 @@
 
 One test per shipped criterion, each logged through acceptance_log so the
 terminal summary shows a single pass/fail line per criterion.  Rank
-re-checks run against a Fraction elimination oracle defined here, not
+re-checks run against test_exactlin's Fraction elimination oracle, not
 against the package's own elimination.
 """
 
 import itertools
 import json
 import time
-from fractions import Fraction
 
 from rowsync.automaton import (Dfa, cerny_automaton, random_dfa, shortest_reset_word,
                                write_dfa)
@@ -20,26 +19,7 @@ from rowsync.probe import allocation_probe, prefix_trace
 from rowsync.rowmon import matrix_of_word
 from rowsync.suites import (basis_dimension_suite, rank_monotonicity_suite,
                             sink_equation_suite, sum_conditions_suite)
-
-
-def oracle_rank(vectors):
-    mat = [[Fraction(v) for v in row] for row in vectors]
-    if not mat:
-        return 0
-    r = 0
-    for c in range(len(mat[0])):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c] / mat[r][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
-            break
-    return r
+from test_exactlin import oracle_rank
 
 
 def all_synchronizing_three_state():

@@ -26,7 +26,10 @@ from rowsync.automaton import (EXACT_SEARCH_LIMIT, Dfa, cerny_automaton, cerny_b
                                is_synchronizing, parse_word, random_dfa, read_dfa_text,
                                shortest_reset_length, shortest_reset_word, to_dot, write_dfa_text)
 from rowsync.cli import RunConfig, run
+from rowsync.equation import sink_matrix
 from rowsync.errors import CapacityError, DomainError, InvalidWordError, ParseError
+from rowsync.exactlin import all_row_monomial, decompose_vij, vij_basis
+from rowsync.rowmon import RowMonomialMatrix, identity
 
 # Frozen oracle values, reproduced by brute_force_shortest below.
 CERNY_WORDS = {2: "b", 3: "baab", 4: "baaabaaab"}
@@ -151,10 +154,18 @@ def test_long_letter_words_parse():
     (count_dfas, (True, 2), "state count must be an int, got True"),
     (count_dfas, (2.0, 2), "state count must be an int, got 2.0"),
     (count_dfas, (2, True), "alphabet size must be an int, got True"),
+    (identity, (2.0,), "size must be an int, got 2.0"),
+    (vij_basis, (2.0, 2), "size must be an int, got 2.0"),
+    (vij_basis, (3, 2.0), "column count must be an int, got 2.0"),
+    (sink_matrix, (2.0, 0), "size must be an int, got 2.0"),
+    (decompose_vij, (RowMonomialMatrix(2, (0, 1)), 2.0), "column count must be an int, got 2.0"),
+    (all_row_monomial, (2.0,), "size must be an int, got 2.0"),
+    (all_row_monomial, (True,), "size must be an int, got True"),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_sizes_must_be_ints(build, args, message):
-    # The size-taking functions refuse what Dfa refuses, before range() or
-    # arithmetic can accept a bool or fail on a float.
+    # The size-taking functions refuse what Dfa and RowMonomialMatrix refuse,
+    # when called, before range() or arithmetic can accept a bool or fail on
+    # a float.
     with pytest.raises(DomainError) as err:
         build(*args)
     assert str(err.value) == message

@@ -438,6 +438,13 @@ def test_full_span_dimensions():
     assert span_dimension(all_row_monomial(4)) == 13
 
 
+def test_all_row_monomial_checks_columns_when_called():
+    with pytest.raises(DomainError) as err:
+        all_row_monomial(2, columns=(0, 2))
+    assert str(err.value) == "column 2 outside [0, 2)"
+    assert [m.targets for m in all_row_monomial(2, columns=(1,))] == [(1, 1)]
+
+
 def test_column_family_dimensions_frozen():
     assert [two_column_span_dimension(n, 0, 1) for n in (3, 4, 5)] == [4, 5, 6]
     assert two_column_span_dimension(4, 1, 3) == 5

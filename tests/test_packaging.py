@@ -1,4 +1,4 @@
-"""The package declares `dependencies = []`; its imports must bear that out."""
+"""The package declares `dependencies = []`, and its modules form layers; its imports must bear both out."""
 
 import ast
 import sys
@@ -20,3 +20,23 @@ def test_every_import_is_standard_library():
     for path in SOURCES:
         for name in absolute_imports(path):
             assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+# Lowest first; a module may import only from modules of a strictly lower layer.
+LAYERS = ({"errors"}, {"automaton"}, {"rowmon"}, {"equation", "exactlin"}, {"probe", "suites"}, {"cli"})
+LAYER = {name: depth for depth, names in enumerate(LAYERS) for name in names}
+
+
+def relative_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            yield node.module
+
+
+def test_modules_import_only_lower_layers():
+    assert {path.stem for path in SOURCES} == set(LAYER) | {"__init__"}
+    for path in SOURCES:
+        if path.stem == "__init__":
+            continue
+        for name in relative_imports(path):
+            assert LAYER[name] < LAYER[path.stem], f"{path.stem} imports {name}"

@@ -50,3 +50,6 @@ def test_exact_suite_documents_pinned():
         "0f6f0217bb89e68492e04a123ac69a1afe4f87d7f387b90df6b4a25c59e176d7")
     assert _digest(basis_dimension_suite(samples=50, seed=2)) == (
         "f24c143484cc3d0e6bb426178b109f6876b7327428c117c22ee31326e2449002")
+    # Recorded before the sink equation's solution builder was merged.
+    assert _digest(sink_equation_suite(random_samples=200, seed=3)) == (
+        "0fcce01382d4e8f1c072499bd2820fc41d2ed3a1e8a0aab2451648c26ce4aa53")
