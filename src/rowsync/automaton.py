@@ -15,9 +15,9 @@ work on the pair automaton instead, so they stay usable where the exact
 search does not.
 The enum walker lists the tables up to state relabelling and letter
 permutation with one conjugation-index expression, and searches the raw rows
-it builds from range(n): Dfa validates input at the boundary only.  It ORs
-each table's chunk tables from tables made once per shard for its last row
-and once per prefix for the others.
+it builds from range(n): Dfa validates input at the boundary only.  When it
+first holds a prefix of rows, it ORs the last row's piece tables into the
+prefix's chunk tables once, so a table's chunk tables are three index reads.
 """
 
 from __future__ import annotations
@@ -523,28 +523,24 @@ def _enum_units(n: int, k: int, classes, class_id, maps, picked):
 
 
 def _letter0_tables(n: int):
-    """combine(j, prefix): chunk tables with the map of lexicographic index j
-    as letter 0, ORed entrywise into prefix, the chunk tables of letters 1...
+    """(hold, m1, m2): hold(prefix) ORs letter 0's piece tables into prefix,
+    the chunk tables of letters 1.., giving (a0, a1, a2); with the map of
+    lexicographic index j as letter 0, the chunk tables are a0[j // (m1 * m2)],
+    a1[j // m2 % m1] and a2[j % m2].
 
     Letter 0's part of a chunk's table depends only on the map's piece on its
     states, so the tables of all pieces, at most 2 n^w 2^w entries, are made
-    once.  For chunk sizes s0, s1, s2 the pieces have the indices
-    j // n^(s1+s2), j // n^s2 % n^s1 and j % n^s2.
+    once.  For chunk sizes s0, s1, s2, m1 = n^s1 and m2 = n^s2.
     """
     w = _chunk_width(n)
     sizes = (w, min(w, n - w), max(n - 2 * w, 0))
     pieces = {s: [_chunk_tables(_successor_masks((piece,), 0), w)[0] for piece in product(range(n), repeat=s)]
               for s in set(sizes)}
-    p0, p1, p2 = map(pieces.get, sizes)
-    m1, m2 = n ** sizes[1], n ** sizes[2]
-    m12 = m1 * m2
 
-    def combine(j, prefix):
-        q0, q1, q2 = prefix
-        return (list(map(or_, p0[j // m12], q0)), list(map(or_, p1[j // m2 % m1], q1)),
-                list(map(or_, p2[j % m2], q2)))
+    def hold(prefix):
+        return [[list(map(or_, p, q)) for p in pieces[s]] for s, q in zip(sizes, prefix)]
 
-    return combine
+    return hold, n ** sizes[1], n ** sizes[2]
 
 
 def _enum_shard_stats(params: tuple) -> dict:
@@ -555,15 +551,18 @@ def _enum_shard_stats(params: tuple) -> dict:
     range over every map whose class is at least the class of the row
     before.  Each such table stands for the k!/prod(m_c!) orders of its
     class multiset, m_c being the number of rows of class c, and carries its
-    unit's weight times that multinomial.  The tails' classes, member lists
-    and multinomials depend only on the unit's row classes, so they are
-    built once per row-class tuple, at most one per nondecreasing class pair.
+    unit's weight times that multinomial.  The tails depend only on the
+    unit's row classes, so they are built once per row-class pair: for each
+    class tuple of rows 3..k-1, their member lists, then each last-row class
+    with its members and multinomial.
 
     For the same reason a table's last row can be letter 0 and rows 1..k-1
-    letters 1..k-1, a prefix that many tables share (row 1 for k = 2, the
-    unit for k = 3).  Its chunk tables are built once per prefix and ORed
-    with letter 0's from _letter0_tables; k = 1 builds its own.  Returns the
-    length histogram, whose counts sum to the synchronizing count, and the weight covered.
+    letters 1..k-1, a prefix that many tables share (row 1 for k = 2; the
+    unit and rows 3..k-1 for k >= 3, held across every last-row class).  When
+    a prefix is first held, its chunk tables are built and letter 0's piece
+    tables ORed into them, once, so a table's chunk tables are three index
+    reads; k = 1 builds its own.  Returns the length histogram, whose counts sum to the
+    synchronizing count, and the weight covered.
     """
     n, k, classes, class_id, limit, picked = params
     maps = list(product(range(n), repeat=n)) if k > 1 else []
@@ -571,7 +570,8 @@ def _enum_shard_stats(params: tuple) -> dict:
     if k > 2:
         for j, c in enumerate(class_id):
             members[c].append(j)
-    combine = _letter0_tables(n)
+    hold, m1, m2 = _letter0_tables(n)
+    m12 = m1 * m2
     w = _chunk_width(n)
     tails: dict[tuple[int, int], list] = {}
     held = None
@@ -591,19 +591,21 @@ def _enum_shard_stats(params: tuple) -> dict:
         else:
             if (shapes := tails.get((c, d))) is None:
                 shapes = tails[c, d] = [
-                    (factorial(k) // prod(map(factorial, Counter((c, d) + tail_classes).values())),
-                     tuple([members[e] for e in tail_classes]))
-                    for tail_classes in combinations_with_replacement(range(d, len(classes)), k - 2)]
+                    ([members[e] for e in middle],
+                     [(members[e], factorial(k) // prod(map(factorial, Counter((c, d, *middle, e)).values())))
+                      for e in range((d, *middle)[-1], len(classes))])
+                    for middle in combinations_with_replacement(range(d, len(classes)), k - 3)]
             head = (f, maps[j])
-            groups = ((head + tuple(map(maps.__getitem__, middle)), tail_members[-1], weight * orders)
-                      for orders, tail_members in shapes for middle in product(*tail_members[:-1]))
+            groups = ((head + tuple(map(maps.__getitem__, rows)), lasts, weight * orders)
+                      for middle_members, ends in shapes for rows in product(*middle_members)
+                      for lasts, orders in ends)
         for prefix, lasts, table_weight in groups:
             if prefix != held:
                 held = prefix
-                tables = _chunk_tables(_successor_masks(prefix, 1), w)
+                a0, a1, a2 = hold(_chunk_tables(_successor_masks(prefix, 1), w))
             covered += table_weight * len(lasts)
             for i in lasts:
-                word = _search((maps[i], *prefix), limit, combine(i, tables))
+                word = _search((maps[i], *prefix), limit, (a0[i // m12], a1[i // m2 % m1], a2[i % m2]))
                 if word is not None:
                     hist[len(word)] += table_weight
     return {"hist": hist, "weight": covered}

@@ -185,43 +185,47 @@ def basis_dimension_suite(max_n: int = 6, samples: int = DEFAULT_FAMILY_SAMPLES,
 
 
 def sink_equation_suite(random_samples: int = DEFAULT_FAMILY_SAMPLES, seed: int = 3) -> SuiteResult:
-    """Solution families of the sink equation, with q = 0.
+    """Solution families of the sink equation, instance i with q = i % n.
 
     Exhaustive over every 3 x 3 row monomial matrix, then random matrices
-    with n in {4, 5}.  Checks the counting formulas, that every enumerated
-    candidate really multiplies to the sink matrix, and that each minimal
-    solution sits below every solution in the q-column order.
+    with n in {4, 5}.  q cycles through the columns with the instance and
+    takes no random draw, so the matrices are those of a q = 0 run.  Checks
+    the counting formulas, that every enumerated candidate really multiplies
+    to the sink matrix, and that each minimal solution sits below every
+    solution in the q-column order.
     """
     rng = random.Random(seed)
     result = SuiteResult(name="sink-equation", checks=0)
 
-    def check_one(m_u: RowMonomialMatrix, tag: str):
+    def check_one(m_u: RowMonomialMatrix, index: int, tag: str):
         n = m_u.n
+        q = index % n
+        tag = f"{tag} q={q}"
         free = n - len(set(m_u.targets))
-        sols = list(enumerate_solutions(m_u, 0))
+        sols = list(enumerate_solutions(m_u, q))
         if len(sols) != n ** free:
             result.violations.append(f"{tag}: found {len(sols)} solutions, expected {n ** free}")
-        bad = [s for s in sols if not is_solution(m_u, s, 0)]
+        bad = [s for s in sols if not is_solution(m_u, s, q)]
         if bad:
             result.violations.append(f"{tag}: {len(bad)} enumerated candidates fail the equation")
-        minimal = list(enumerate_solutions(m_u, 0, minimal=True))
+        minimal = list(enumerate_solutions(m_u, q, minimal=True))
         if len(minimal) != (n - 1) ** free:
             result.violations.append(f"{tag}: found {len(minimal)} minimal solutions, expected {(n - 1) ** free}")
-        lo = minimal_solution(m_u, 0)
+        lo = minimal_solution(m_u, q)
         if lo not in minimal:
             result.violations.append(f"{tag}: default minimal solution is not in the minimal family")
         for small in minimal:
-            if not all(leq_q(small, other, 0) for other in sols):
+            if not all(leq_q(small, other, q) for other in sols):
                 result.violations.append(f"{tag}: minimal solution {small.targets} not below every solution")
                 break
         result.checks += 1
 
-    for m_u in all_row_monomial(3):
-        check_one(m_u, f"n=3 targets={m_u.targets}")
+    for index, m_u in enumerate(all_row_monomial(3)):
+        check_one(m_u, index, f"n=3 targets={m_u.targets}")
     for idx in range(random_samples):
         n = rng.choice((4, 5))
         m_u = RowMonomialMatrix(n=n, targets=tuple(rng.randrange(n) for _ in range(n)))
-        check_one(m_u, f"sample {idx} n={n} targets={m_u.targets}")
+        check_one(m_u, idx, f"sample {idx} n={n} targets={m_u.targets}")
     return result
 
 

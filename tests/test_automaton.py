@@ -372,20 +372,24 @@ def test_capacity_check_precedes_table_building(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_enum_combined_tables_equal_built_tables(n):
-    # The enum walker ORs letter 0's piece tables into the chunk tables of
-    # letters 1..k-1.  A wrong piece index or shift would change only some
-    # histograms, so the combined tables are checked against a direct build.
+    # The enum walker ORs letter 0's piece tables into a prefix's chunk
+    # tables once, then reads each table's chunk tables by the three piece
+    # indices of its letter-0 map.  A wrong piece index or shift would change
+    # only some histograms, so one prefix's tables are built once per k and
+    # read for 22 letter-0 maps, each checked against a direct build.
     automaton = rowsync.automaton
     rng = random.Random(n)
     w = -(-n // 3)
-    combine = automaton._letter0_tables(n)
+    hold, m1, m2 = automaton._letter0_tables(n)
     for k in range(1, 5):
+        rest = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(k - 1))
+        masks = automaton._successor_masks(rest, 1) if k > 1 else [0] * n
+        a0, a1, a2 = hold(automaton._chunk_tables(masks, w))
         firsts = [(0,) * n, (n - 1,) * n] + [tuple(rng.randrange(n) for _ in range(n)) for _ in range(20)]
         for first in firsts:
-            delta = (first, *(tuple(rng.randrange(n) for _ in range(n)) for _ in range(k - 1)))
+            delta = (first, *rest)
             j = sum(t * n ** (n - 1 - i) for i, t in enumerate(first))
-            masks = automaton._successor_masks(delta[1:], 1) if k > 1 else [0] * n
-            tables = combine(j, automaton._chunk_tables(masks, w))
+            tables = (a0[j // (m1 * m2)], a1[j // m2 % m1], a2[j % m2])
             assert tables == automaton._chunk_tables(automaton._successor_masks(delta, 0), w), delta
             assert automaton._search(delta, n, tables) == automaton._search(delta, n), delta
 

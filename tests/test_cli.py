@@ -313,29 +313,34 @@ def test_enum_search_counts(monkeypatch):
 
 
 def test_enum_builds_chunk_tables_per_prefix_not_per_table(monkeypatch):
-    # Every table's chunk tables are combined from tables the walker built
-    # once per shard or once per prefix of rows, so the builds stay below
-    # the searches, and no search builds its own.
+    # Every table's chunk tables are read from tables the walker built once
+    # per shard or once per prefix of rows 1..k-1, so no search builds its
+    # own, and each distinct prefix searched has its tables built exactly
+    # once: a prefix is held across every last-row class it serves, for
+    # k >= 4 too.  Piece tables cover one chunk's states, prefix tables all n.
     import rowsync.automaton
 
-    builds, searches = [], []
+    builds, searches, prefixes = [], [], set()
     build, search = rowsync.automaton._chunk_tables, rowsync.automaton._search
 
     def counted_build(masks, w):
-        builds.append(w)
+        builds.append(len(masks))
         return build(masks, w)
 
     def counted_search(delta, limit, tables=None):
         searches.append(tables is not None)
+        prefixes.add(tuple(delta[1:]))
         return search(delta, limit, tables)
 
     monkeypatch.setattr(rowsync.automaton, "_chunk_tables", counted_build)
     monkeypatch.setattr(rowsync.automaton, "_search", counted_search)
-    for n, k, count in ((4, 2, 1523), (3, 3, 931)):
+    for n, k, count in ((4, 2, 1523), (3, 3, 931), (2, 5, 63), (3, 4, 9743)):
         builds.clear()
         searches.clear()
+        prefixes.clear()
         assert run(RunConfig(command="enum", n=n, k=k)).exit_code == 0
         assert len(searches) == count and all(searches)
+        assert builds.count(n) == len(prefixes)
         assert len(builds) < count
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import rowsync.suites
 from rowsync.suites import (basis_dimension_suite, rank_monotonicity_suite, run_all,
                             sink_equation_suite, sum_conditions_suite)
 
@@ -53,3 +54,21 @@ def test_exact_suite_documents_pinned():
     # Recorded before the sink equation's solution builder was merged.
     assert _digest(sink_equation_suite(random_samples=200, seed=3)) == (
         "0fcce01382d4e8f1c072499bd2820fc41d2ed3a1e8a0aab2451648c26ce4aa53")
+
+
+def test_sink_equation_suite_checks_every_q(monkeypatch):
+    # A fault that mistakes q for column 0 is right on every q = 0 instance;
+    # the suite cycles q through the columns, so it reports this one: the
+    # minimal family's free rows avoid column 0 in place of q.
+    enumerate_solutions = rowsync.suites.enumerate_solutions
+
+    def avoids_column_0(m_u, q=0, minimal=False):
+        image = set(m_u.targets)
+        for sol in enumerate_solutions(m_u, q):
+            if not minimal or all(t != 0 for i, t in enumerate(sol.targets) if i not in image):
+                yield sol
+
+    monkeypatch.setattr(rowsync.suites, "enumerate_solutions", avoids_column_0)
+    result = sink_equation_suite(random_samples=20, seed=3)
+    assert not result.ok and result.violations
+    assert all(" q=0:" not in line for line in result.violations)
