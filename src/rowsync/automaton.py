@@ -14,10 +14,11 @@ reset word.  The polynomial synchronization test and the greedy heuristic
 work on the pair automaton instead, so they stay usable where the exact
 search does not.
 The enum walker lists the tables up to state relabelling and letter
-permutation with one conjugation-index expression, and searches the raw rows
-it builds from range(n): Dfa validates input at the boundary only.  When it
-first holds a prefix of rows, it ORs the last row's piece tables into the
-prefix's chunk tables once, so a table's chunk tables are three index reads.
+permutation by flooding orbits of map indices along the index permutations of
+a few relabellings, and searches the raw rows it builds from range(n): Dfa
+validates input at the boundary only.  When it first holds a prefix of rows,
+it ORs the last row's piece tables into the prefix's chunk tables once, so a
+table's chunk tables are three index reads.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, combinations, combinations_with_replacement, permutations, product
+from itertools import (accumulate, chain, combinations, combinations_with_replacement, compress, permutations,
+                       product, repeat)
 from math import factorial, prod
-from operator import mul, or_
+from operator import add, or_
 from typing import Sequence
 
 from .errors import CapacityError, DomainError, InvalidWordError, ParseError
@@ -439,18 +441,61 @@ def count_dfas(n: int, k: int) -> int:
     return n ** (n * k)
 
 
-def _relabellings(n: int) -> list[tuple[tuple[int, ...], list[int]]]:
-    """Every relabelling s of the states with its weights[i] = n^(n-1-s[i]).
+def _index_permutation(s: Sequence[int]) -> array:
+    """array('I') p with p[j] the lexicographic index of s g s^-1, g the j-th map.
 
-    s g s^-1 is the map s[i] -> s[g[i]], of lexicographic index sum s[g[i]] * weights[i].
+    s g s^-1 sends s[i] to s[g[i]], so digit i of j, of value t, adds
+    s[t] * n^(n-1-s[i]) to p[j]; the sums are built one digit at a time,
+    least significant first, straight into arrays.
     """
-    place = [n ** (n - 1 - i) for i in range(n)]
-    return [(s, [place[t] for t in s]) for s in permutations(range(n))]
+    n = len(s)
+    p = array("I", [0])
+    for i in reversed(range(n)):
+        place = n ** (n - 1 - s[i])
+        p = array("I", chain.from_iterable(map(add, p, repeat(s[t] * place)) for t in range(n)))
+    return p
 
 
-def _conjugates(g: Sequence[int], relabellings) -> list[int]:
-    """The index of s g s^-1 for each relabelling (s, weights)."""
-    return [sum(map(mul, map(s.__getitem__, g), weights)) for s, weights in relabellings]
+def _flood(perms: list[array], marks, j: int, label: int) -> int:
+    """Mark the orbit of index j under the group that perms generate with label; return its size.
+
+    Orbits are disjoint, so a member not yet marked with label is unreached.
+    """
+    marks[j] = label
+    orbit = [j]
+    for x in orbit:
+        for p in perms:
+            y = p[x]
+            if marks[y] != label:
+                marks[y] = label
+                orbit.append(y)
+    return len(orbit)
+
+
+def _centraliser_generators(f: Sequence[int], order: int) -> list[tuple[int, ...]]:
+    """Generators of C(f), the order relabellings s with s f = f s.
+
+    Each member of C(f), in reverse lexicographic order, that the generators
+    so far do not reach is taken as the next, until they reach all of C(f).
+    That takes at most 4 generators for n <= 7, where lexicographic order
+    takes up to n - 1.
+    """
+    identity = tuple(range(len(f)))
+    generators: list[tuple[int, ...]] = []
+    group = {identity}
+    for s in permutations(identity[::-1]):
+        if len(group) == order:
+            break
+        if s not in group and tuple(map(s.__getitem__, f)) == tuple(map(f.__getitem__, s)):
+            generators.append(s)
+            closure = [identity]
+            group = {identity}
+            for g in closure:
+                for h in (tuple(map(g.__getitem__, t)) for t in generators):
+                    if h not in group:
+                        group.add(h)
+                        closure.append(h)
+    return generators
 
 
 def conjugacy_classes(n: int) -> tuple[list[tuple[tuple[int, ...], int]], array]:
@@ -460,66 +505,60 @@ def conjugacy_classes(n: int) -> tuple[list[tuple[tuple[int, ...], int]], array]
     pairs in lexicographic order of their least members, and their sizes sum
     to n^n; class_id[j] is the position in classes of the class of the j-th
     map in lexicographic order.  Each map not yet reached, taken in
-    lexicographic order, is the least member of a new class: the set of its
-    conjugates under all n! relabellings.  The ids live in an array('H') of
-    n^n entries, so this takes 2 n^n bytes and O(n^n + c n! n) time for c
-    classes.
+    lexicographic order, is the least member of a new class, flooded along
+    the index permutations of a transposition and an n-cycle, which generate
+    all n! relabellings.  The ids take 2 n^n bytes, in an array('H'), and the
+    two permutations 4 n^n bytes each, in arrays('I'); each is built and
+    flooded in O(n^n) steps.
     """
     _require_int("state count", n)
     if n < 1:
         raise DomainError(f"need n >= 1, got n = {n}")
-    relabellings = _relabellings(n)
+    perms = [_index_permutation(s) for s in ((1, 0, *range(2, n)), (*range(1, n), 0))] if n > 1 else []
     class_id = array("H", [_UNREACHED]) * n ** n
     classes = []
-    for index, f in enumerate(product(range(n), repeat=n)):
-        if class_id[index] != _UNREACHED:
-            continue
-        orbit = set(_conjugates(f, relabellings))
-        for j in orbit:
-            class_id[j] = len(classes)
-        classes.append((f, len(orbit)))
+    for j, d in enumerate(class_id):
+        if d == _UNREACHED:
+            f = tuple(j // n ** (n - 1 - i) % n for i in range(n))
+            classes.append((f, _flood(perms, class_id, j, len(classes))))
     return classes, class_id
 
 
-def _enum_units(n: int, k: int, classes, class_id, maps, picked):
+def _enum_units(n: int, k: int, classes, class_id, picked):
     """The tables' first rows up to state relabelling, as (c, j, weight).
 
-    Row 1 is class c's least member, row 2 is maps[j] (j is None when
-    k = 1), and c runs over picked.
+    Row 1 is class c's least member, row 2 is the j-th map in lexicographic
+    order (j is None when k = 1), and c runs over picked.
 
     Relabelling the states by a permutation s keeps the shortest reset length
     and conjugates every row by s.  So row 1 is the least member f of a class,
     weighted by the class size.  The relabellings that keep row 1 = f are f's
-    centraliser C(f), those whose conjugate of f has f's own index, the least
-    of its class.  Row 2 is every map g whose class is at least f's and that
-    is least in its orbit under conjugation by C(f), and the unit's weight is
-    the class size times that orbit's size.  With k = 1 a unit is the class
-    alone.
+    centraliser C(f), of order n! over the class size.  Row 2 is every map g
+    whose class is at least f's and that is least in its orbit under
+    conjugation by C(f), flooded along the index permutations of generators
+    of C(f), and the unit's weight is the class size times that orbit's size.
+    With k = 1 a unit is the class alone.
     """
-    relabellings = _relabellings(n)
     for c in picked:
         f, size = classes[c]
         if k == 1:
             yield c, None, size
             continue
-        conjugates = _conjugates(f, relabellings)
-        least = min(conjugates)
-        centre = [r for r, j in zip(relabellings, conjugates) if j == least]
-        if len(centre) == 1:
+        if size == factorial(n):
             # C(f) is the identity alone, so every orbit is its map alone.
-            for j, d in enumerate(class_id):
-                if d >= c:
-                    yield c, j, size
+            for j in compress(range(n ** n), map(c.__le__, class_id)):
+                yield c, j, size
             continue
-        reached = bytearray(len(maps))
-        for j, (g, d) in enumerate(zip(maps, class_id)):
-            if d < c or reached[j]:
-                continue
-            # Maps are listed in lexicographic index order, so g is its orbit's least member.
-            orbit = set(_conjugates(g, centre))
-            for i in orbit:
-                reached[i] = 1
-            yield c, j, size * len(orbit)
+        perms = [_index_permutation(s) for s in _centraliser_generators(f, factorial(n) // size)]
+        # Maps of lower classes start reached, so each find gives the least
+        # member of the next orbit.
+        reached = bytearray(map(c.__gt__, class_id))
+        j = reached.find(0)
+        while j >= 0:
+            yield c, j, size * _flood(perms, reached, j, 1)
+            j = reached.find(0, j + 1)
+        # Freed before the next class builds its own.
+        del perms
 
 
 def _letter0_tables(n: int):
@@ -577,7 +616,7 @@ def _enum_shard_stats(params: tuple) -> dict:
     held = None
     hist: Counter[int] = Counter()
     covered = 0
-    for c, j, weight in _enum_units(n, k, classes, class_id, maps, picked):
+    for c, j, weight in _enum_units(n, k, classes, class_id, picked):
         f = classes[c][0]
         if k == 1:
             covered += weight
@@ -587,18 +626,26 @@ def _enum_shard_stats(params: tuple) -> dict:
             continue
         d = class_id[j]
         if k == 2:
-            groups = (((f,), (j,), weight if d == c else 2 * weight),)
-        else:
-            if (shapes := tails.get((c, d))) is None:
-                shapes = tails[c, d] = [
-                    ([members[e] for e in middle],
-                     [(members[e], factorial(k) // prod(map(factorial, Counter((c, d, *middle, e)).values())))
-                      for e in range((d, *middle)[-1], len(classes))])
-                    for middle in combinations_with_replacement(range(d, len(classes)), k - 3)]
-            head = (f, maps[j])
-            groups = ((head + tuple(map(maps.__getitem__, rows)), lasts, weight * orders)
-                      for middle_members, ends in shapes for rows in product(*middle_members)
-                      for lasts, orders in ends)
+            # The prefix is row 1 alone, so it is held per class.
+            if held != c:
+                held = c
+                a0, a1, a2 = hold(_chunk_tables(_successor_masks((f,), 1), w))
+            table_weight = weight if d == c else 2 * weight
+            covered += table_weight
+            word = _search((maps[j], f), limit, (a0[j // m12], a1[j // m2 % m1], a2[j % m2]))
+            if word is not None:
+                hist[len(word)] += table_weight
+            continue
+        if (shapes := tails.get((c, d))) is None:
+            shapes = tails[c, d] = [
+                ([members[e] for e in middle],
+                 [(members[e], factorial(k) // prod(map(factorial, Counter((c, d, *middle, e)).values())))
+                  for e in range((d, *middle)[-1], len(classes))])
+                for middle in combinations_with_replacement(range(d, len(classes)), k - 3)]
+        head = (f, maps[j])
+        groups = ((head + tuple(map(maps.__getitem__, rows)), lasts, weight * orders)
+                  for middle_members, ends in shapes for rows in product(*middle_members)
+                  for lasts, orders in ends)
         for prefix, lasts, table_weight in groups:
             if prefix != held:
                 held = prefix

@@ -290,7 +290,10 @@ def _run_enum(config: RunConfig) -> RunResult:
     # Every table is searched, so refuse here what _search would refuse on the first one.
     if n > config.limit:
         raise _search_capacity_error(n, config.limit)
-    # n^n <= n^(nk) <= budget, so the class listing's 2 n^n bytes are covered too.
+    # n^n <= n^(nk) <= budget, so the listings' bytes are covered too: 2 n^n
+    # of class ids, n^n of orbit marks, and 4 n^n per index permutation held,
+    # two for the classes and one per generator of a centraliser for the units
+    # (at most 4 for n <= 7).
     classes, class_id = conjugacy_classes(n)
     # Worker i takes the row-1 classes i, i + workers, ... and walks only their
     # units.  Dealing the classes round robin splits the unit counts about

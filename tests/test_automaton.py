@@ -543,6 +543,79 @@ def test_conjugacy_classes():
         conjugacy_classes(0)
 
 
+def test_conjugacy_classes_n7():
+    # OEIS A001372 at n = 7, on the 823,543 maps.
+    found, class_id = conjugacy_classes(7)
+    assert len(found) == 343
+    assert sum(size for _, size in found) == 7 ** 7
+    assert Counter(class_id) == {c: size for c, (_, size) in enumerate(found)}
+
+
+def conjugate(s, g):
+    """s g s^-1, the map s[i] -> s[g[i]]."""
+    h = [0] * len(g)
+    for i, t in enumerate(g):
+        h[s[i]] = s[t]
+    return tuple(h)
+
+
+def brute_force_centraliser(f):
+    """C(f), every relabelling s with s f = f s."""
+    return {s for s in permutations(range(len(f))) if all(s[f[i]] == f[s[i]] for i in range(len(f)))}
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_index_permutation_conjugates(n):
+    maps = list(product(range(n), repeat=n))
+    index = {g: j for j, g in enumerate(maps)}
+    for s in permutations(range(n)):
+        p = rowsync.automaton._index_permutation(s)
+        assert list(p) == [index[conjugate(s, g)] for g in maps], s
+
+
+def test_centraliser_generators_generate_the_centraliser():
+    # The greedy generators' closure under composition is all of C(f), for
+    # every class with n <= 6; a trivial C(f) needs none.
+    for n in range(1, 7):
+        identity = tuple(range(n))
+        for f, size in conjugacy_classes(n)[0]:
+            generators = rowsync.automaton._centraliser_generators(f, factorial(n) // size)
+            closure = [identity]
+            for g in closure:
+                for t in generators:
+                    h = tuple(g[i] for i in t)
+                    if h not in closure:
+                        closure.append(h)
+            assert set(closure) == brute_force_centraliser(f), (n, f)
+            assert len(generators) == len(set(generators)) and identity not in generators, (n, f)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_enum_units_match_brute_force_orbits(n):
+    # Each unit's row-2 orbit, flooded here under every member of C(f) with
+    # no generators and no index permutations, over classes listed by brute
+    # force: the same units, in the same order, with the same weights.
+    classes, least = brute_force_classes(n)
+    position = {f: c for c, (f, _) in enumerate(classes)}
+    maps = list(product(range(n), repeat=n))
+    index = {g: j for j, g in enumerate(maps)}
+    units = []
+    for c, (f, size) in enumerate(classes):
+        centre = brute_force_centraliser(f)
+        reached = set()
+        for j, g in enumerate(maps):
+            if position[least[g]] >= c and j not in reached:
+                orbit = {index[conjugate(s, g)] for s in centre}
+                reached |= orbit
+                units.append((c, j, size * len(orbit)))
+    listing = conjugacy_classes(n)
+    every = range(len(classes))
+    assert list(rowsync.automaton._enum_units(n, 1, *listing, every)) == [
+        (c, None, size) for c, (_, size) in enumerate(classes)]
+    for k in (2, 3):
+        assert list(rowsync.automaton._enum_units(n, k, *listing, every)) == units, k
+
+
 # (1,4), (2,4) and (3,3) have k >= 3 rows, tables repeating a class, and the
 # identity row, whose centraliser is all of S_n.  (1,5) and (2,5) have
 # three-row tails that repeat classes, so each tail multinomial is checked

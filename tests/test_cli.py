@@ -382,7 +382,7 @@ def test_enum_budget_exits_one(capsys, monkeypatch):
     def refuse(n):
         raise AssertionError("conjugacy classes listed before the budget check")
 
-    # The listing takes 2 n^n bytes; n^n <= n^(nk), so the budget check must come first.
+    # The listing takes O(n^n) bytes; n^n <= n^(nk), so the budget check must come first.
     monkeypatch.setattr(rowsync.cli, "conjugacy_classes", refuse)
     assert main(["enum", "--n", "4", "--k", "3"]) == 1
     assert "exceeds the budget of 1000000" in capsys.readouterr().err

@@ -70,7 +70,9 @@ def corpus(names: list[str]) -> list[list[str]]:
                      ["enum", "--n", str(n), "--k", str(k), "--json", "--jobs", "2"]]
     runs.append(["enum", "--n", "3", "--k", "2", "--limit", "2"])
     # Past n, k <= 3: k >= 4 groups its tails by middle rows, and (4,3) is 4^12 tables.
-    for n, k in ((1, 4), (2, 4), (2, 5), (3, 4), (4, 2), (4, 3)):
+    # (5,1), (6,1) and (7,1) list 47, 130 and 343 classes; (5,2) floods row-2
+    # orbits under centralisers up to S_5.
+    for n, k in ((1, 4), (2, 4), (2, 5), (3, 4), (4, 2), (4, 3), (5, 1), (6, 1), (7, 1), (5, 2)):
         for jobs in ("1", "2"):
             runs.append(["enum", "--n", str(n), "--k", str(k), "--json", "--jobs", jobs,
                          "--budget", str(n ** (n * k))])
