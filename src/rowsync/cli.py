@@ -27,7 +27,7 @@ from .probe import allocation_probe, prefix_trace
 from .rowmon import is_permutation, matrix_of_word, nonzero_columns, rank
 from .suites import run_all
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -38,21 +38,19 @@ class RunConfig:
     path: str | None = None
     kind: str | None = None
     word: str | None = None
-    q: int | None = None
     n: int | None = None
     k: int | None = None
     limit: int = EXACT_SEARCH_LIMIT
     budget: int = DEFAULT_ENUM_BUDGET
     jobs: int = 1
     seed: int = 0
-    filter: str | None = None
     dot: bool = False
     json_output: bool = False
     output: str | None = None
 
     def public_fields(self) -> dict:
         fields = dict(vars(self))  # a copy: vars() is this frozen instance's live dict
-        del fields["output"], fields["json_output"]
+        del fields["command"], fields["output"], fields["json_output"]
         return fields
 
 
@@ -75,11 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rowsync", description="synchronizing automata through row monomial matrices")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_word=False, with_q=False, with_limit=False):
+    def add_common(p, with_word=False, with_limit=False):
         if with_word:
             p.add_argument("--word", help="word as letters ('abab') or comma-separated indices")
-        if with_q:
-            p.add_argument("--q", type=int, default=None, help="sink column (default: where the word lands)")
         if with_limit:
             p.add_argument("--limit", type=int, default=EXACT_SEARCH_LIMIT,
                            help="state-count cap for the exact subset search")
@@ -101,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", help="allocation procedure probe for one reset word")
     p.add_argument("path")
-    add_common(p, with_word=True, with_q=True, with_limit=True)
+    add_common(p, with_word=True, with_limit=True)
 
     p = sub.add_parser("lemmas", help="run the shipped invariant suites")
     p.add_argument("--seed", type=int, default=0)
@@ -118,8 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enum", help="enumerate all tables and aggregate bound checks")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--filter", choices=("sync",), default=None,
-                   help="aggregate synchronizing automata only")
     p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, dealt the row-1 classes round robin; each walks "
@@ -231,7 +225,7 @@ def _run_probe(config: RunConfig) -> RunResult:
     dfa = read_dfa(config.path)
     word = _word_or_shortest(config, dfa)
     shortest = len(word) if config.word is None else None
-    rep = allocation_probe(dfa, word, config.q, config.limit, shortest)
+    rep = allocation_probe(dfa, word, config.limit, shortest)
     report = rep.to_json_dict()
     m = rep.matching
     lines = [
@@ -241,8 +235,8 @@ def _run_probe(config: RunConfig) -> RunResult:
     ]
     if m.success:
         lines.append(f"solutions verified: yes; family rank {rep.independence_rank} of "
-                     f"{rep.independence_expected} (independent)")
-    bad = report["corollary1_counterexamples"]
+                     f"{len(rep.solutions) + 1} (independent)")
+    bad = report["prefix_column_counterexamples"]
     lines.append(f"prefix-column claim: {len(rep.prefix_column_verdicts) - bad} of "
                  f"{len(rep.prefix_column_verdicts)} prefixes keep column {rep.q} nonzero"
                  + (f" ({bad} counterexamples)" if bad else ""))
@@ -319,7 +313,6 @@ def _run_enum(config: RunConfig) -> RunResult:
         "n": n, "k": k,
         "total_tables": total,
         "synchronizing": sync,
-        "examined": sync if config.filter == "sync" else total,
         "length_histogram": {str(length): hist[length] for length in sorted(hist)},
         "max_length": max_length,
         "max_length_count": hist[max_length],
@@ -328,10 +321,9 @@ def _run_enum(config: RunConfig) -> RunResult:
         "verdict": "exceeds-bound" if exceeds else "within-bound",
     }
     lines = [f"tables: {total} (n={n}, k={k})",
-             f"synchronizing: {sync}"]
-    if config.filter != "sync":
-        lines.append(f"not synchronizing: {total - sync}")
-    lines.append("shortest reset length histogram:")
+             f"synchronizing: {sync}",
+             f"not synchronizing: {total - sync}",
+             "shortest reset length histogram:"]
     for length in sorted(hist):
         lines.append(f"  {length}: {hist[length]}")
     if max_length is not None:

@@ -84,6 +84,7 @@ class RationalBasis:
     """
 
     def __init__(self, ambient: int):
+        _require_int("ambient dimension", ambient)
         if ambient < 1:
             raise DomainError(f"ambient dimension must be positive, got {ambient}")
         self.ambient = ambient

@@ -53,14 +53,13 @@ class PrefixTrace:
         ]
 
 
-def _walk(dfa: Dfa, word: Sequence[int], q: int | None = None
-          ) -> tuple[Word, int, list[tuple[int, ...]], list[frozenset[int]]]:
+def _walk(dfa: Dfa, word: Sequence[int]) -> tuple[Word, int, list[tuple[int, ...]], list[frozenset[int]]]:
     """Check a reset word and walk its nonempty prefixes.
 
     One walk along the word gives each prefix matrix's row targets, shortest
     first, next to its image (the set of its nonzero columns), and the state
-    the word synchronizes to; that state must equal q when q is given.  The
-    Dfa is validated, so no prefix needs a RowMonomialMatrix.
+    the word synchronizes to.  The Dfa is validated, so no prefix needs a
+    RowMonomialMatrix.
     """
     w = check_word(dfa, word)
     targets = tuple(range(dfa.n))
@@ -75,10 +74,7 @@ def _walk(dfa: Dfa, word: Sequence[int], q: int | None = None
         raise DomainError(
             f"word {format_word(w, dfa.k)!r} does not synchronize: image has {len(image)} states"
         )
-    sink = targets[0]
-    if q is not None and q != sink:
-        raise DomainError(f"word synchronizes to state {sink}, not to q = {q}")
-    return w, sink, prefixes, images
+    return w, targets[0], prefixes, images
 
 
 def _trace(n: int, w: Word, prefixes: Sequence[tuple[int, ...]],
@@ -237,9 +233,6 @@ class ProbeReport:
         """The family's rank with the sink matrix, len(solutions) + 1 by the certificate."""
         return len(self.solutions) + 1 if self.matching.success else None
 
-    independence_expected = independence_rank
-    independence_ok = solutions_ok
-
     def to_json_dict(self) -> dict:
         return {
             "automaton": {"n": self.dfa.n, "k": self.dfa.k,
@@ -251,12 +244,10 @@ class ProbeReport:
             "solutions": [list(s.targets) for s in self.solutions],
             "solutions_ok": self.solutions_ok,
             "independence_rank": self.independence_rank,
-            "independence_expected": self.independence_expected,
-            "independence_ok": self.independence_ok,
-            "corollary1_verdicts": [
+            "prefix_column_verdicts": [
                 {"length": v.length, "holds": v.holds} for v in self.prefix_column_verdicts
             ],
-            "corollary1_counterexamples": sum(1 for v in self.prefix_column_verdicts if not v.holds),
+            "prefix_column_counterexamples": sum(1 for v in self.prefix_column_verdicts if not v.holds),
             "bound_verdict": self.bound.to_json(),
             "notes": list(self.notes),
         }
@@ -291,8 +282,8 @@ def bound_check(dfa: Dfa, limit: int = EXACT_SEARCH_LIMIT, shortest: int | None 
     return BoundVerdict(n=dfa.n, length=length, status=status)
 
 
-def allocation_probe(dfa: Dfa, word: Sequence[int], q: int | None = None,
-                     limit: int = EXACT_SEARCH_LIMIT, shortest: int | None = None) -> ProbeReport:
+def allocation_probe(dfa: Dfa, word: Sequence[int], limit: int = EXACT_SEARCH_LIMIT,
+                     shortest: int | None = None) -> ProbeReport:
     """Run the full allocation procedure for one synchronizing word.
 
     Steps: collect the prefixes whose matrix rank exceeds one (at most
@@ -307,16 +298,15 @@ def allocation_probe(dfa: Dfa, word: Sequence[int], q: int | None = None,
     solution solves its prefix's sink equation, and solution i minus the
     sink matrix is the only member nonzero at cell i, so the family with
     the sink matrix has rank len(solutions) + 1.  The report's solutions_ok
-    and independence properties read that off the matching; they measure
-    nothing.
+    and independence_rank read that off the matching; they measure nothing.
 
     Prefixes with larger image sets are offered to the matching first; that
     ordering is a tie-break between maximum matchings, not a correctness
     requirement.  A matching shortfall is recorded as a finding, never an
-    error.  q defaults to the state the word actually synchronizes to.
-    limit and shortest are passed to bound_check.
+    error.  q is the state the word synchronizes to.  limit and shortest
+    are passed to bound_check.
     """
-    w, sink, prefixes, images = _walk(dfa, word, q)
+    w, sink, prefixes, images = _walk(dfa, word)
     n = dfa.n
     notes: list[str] = ["empty prefix excluded by convention"]
 

@@ -141,7 +141,7 @@ def test_criterion_probe_soundness(acceptance_log, tmp_path):
             vectors.append(flatten(sink_matrix(dfa.n, rep.q)))
             if oracle_rank(vectors) != rep.independence_rank:
                 sound = False
-            if rep.independence_ok and rep.independence_rank != len(rep.solutions) + 1:
+            if rep.solutions_ok and rep.independence_rank != len(rep.solutions) + 1:
                 sound = False
         if any(not v.holds for v in rep.prefix_column_verdicts):
             counterexample_automata += 1

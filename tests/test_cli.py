@@ -66,10 +66,16 @@ def test_check_json_document(cerny3_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert set(doc) == {"schema_version", "command", "config", "report"}
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["command"] == "check"
     assert doc["config"]["limit"] == 24
-    assert "output" not in doc["config"]
+    assert not {"output", "command", "q", "filter"} & set(doc["config"])
+    # The top-level command is the only place a document states its verb.
+    parser = build_parser()
+    for argv in (["check", "x"], ["matrix", "x"], ["trace", "x"], ["probe", "x"], ["lemmas"],
+                 ["gen", "cerny", "--n", "3"], ["enum", "--n", "2", "--k", "1"]):
+        config = config_from_args(parser.parse_args([*argv, "--json"]))
+        assert not {"command", "q", "filter"} & set(config.public_fields()), argv[0]
     report = doc["report"]
     assert report["synchronizing"] and report["strongly_connected"]
     assert report["shortest_length"] == 4 and report["shortest_word"] == "baab"
@@ -210,7 +216,7 @@ def test_probe_report(cerny3_path, capsys):
     assert report["q"] == 1
     assert report["matching"]["success"] is True
     assert report["independence_rank"] == 4
-    assert report["corollary1_counterexamples"] == 1
+    assert report["prefix_column_counterexamples"] == 1
     assert report["bound_verdict"]["status"] == "within-bound"
 
 
@@ -223,9 +229,12 @@ def test_probe_human_summary(cerny3_path, capsys):
     assert "1 counterexamples" in out
 
 
-def test_probe_q_mismatch_exits_one(cerny3_path, capsys):
-    assert main(["probe", cerny3_path, "--q", "0"]) == 1
-    assert "synchronizes to state 1" in capsys.readouterr().err
+def test_probe_q_is_refused(cerny3_path, capsys):
+    # The sink is where the word lands; schema 2 has no option to restate it.
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", cerny3_path, "--q", "1"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --q 1" in capsys.readouterr().err
 
 
 def test_probe_json_byte_identical(cerny3_path, tmp_path):
@@ -247,13 +256,22 @@ def test_enum_two_states_one_letter(capsys):
     assert report["exceeds_bound"] == 0 and report["verdict"] == "within-bound"
 
 
-def test_enum_filter_sync(capsys):
-    code, out = run_main(["enum", "--n", "2", "--k", "2", "--filter", "sync", "--json"], capsys)
+def test_enum_filter_is_refused(capsys):
+    # --filter sync changed only an echoed count; every report now gives both counts.
+    with pytest.raises(SystemExit) as exc:
+        main(["enum", "--n", "2", "--k", "2", "--filter", "sync"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --filter sync" in capsys.readouterr().err
+    code, out = run_main(["enum", "--n", "2", "--k", "2", "--json"], capsys)
     assert code == 0
     report = json.loads(out)["report"]
+    assert "examined" not in report
     assert report["total_tables"] == 16
-    assert report["examined"] == report["synchronizing"] == 12
+    assert report["synchronizing"] == 12
     assert report["length_histogram"] == {"1": 12}
+    code, out = run_main(["enum", "--n", "2", "--k", "2"], capsys)
+    assert code == 0
+    assert "not synchronizing: 4\n" in out
 
 
 @pytest.mark.parametrize("n,k,sync,histogram", [
@@ -466,20 +484,22 @@ def test_gen_random_reproducible(capsys):
 
 def test_config_round_trip():
     parser = build_parser()
-    args = parser.parse_args(["probe", "x.txt", "--word", "ab", "--q", "1", "--json"])
+    args = parser.parse_args(["probe", "x.txt", "--word", "ab", "--limit", "9", "--json"])
     config = config_from_args(args)
-    assert config == RunConfig(command="probe", path="x.txt", word="ab", q=1, json_output=True)
+    assert config == RunConfig(command="probe", path="x.txt", word="ab", limit=9, json_output=True)
     assert "json_output" not in config.public_fields()
 
 
 def test_public_fields_is_a_fresh_copy():
     config = RunConfig(command="enum", n=3, k=2, json_output=True, output="out.json")
     fields = config.public_fields()
-    assert list(fields) == [f for f in RunConfig.__dataclass_fields__ if f not in ("output", "json_output")]
+    assert list(fields) == [f for f in RunConfig.__dataclass_fields__
+                            if f not in ("command", "output", "json_output")]
     first = dict(fields)
-    del fields["command"]
+    del fields["k"]
     fields["n"] = 99
-    assert (config.command, config.n, config.output, config.json_output) == ("enum", 3, "out.json", True)
+    assert (config.command, config.n, config.k, config.output, config.json_output) == \
+        ("enum", 3, 2, "out.json", True)
     assert config.public_fields() == first
 
 
@@ -587,12 +607,15 @@ def test_enum_jobs_clamped_to_shards_and_cpus(capsys, monkeypatch):
 # Every probe hash was recorded while the family rank was still measured by an
 # exact elimination (for C_18, one holding echelon entries up to 17); the probe
 # now derives that rank and the solution verdict from the matching, so these
-# hashes passing unedited show that the derived fields equal the measured ones.
+# hashes passing show that the derived fields equal the measured ones.  The
+# schema-2 probe hashes were derived from the schema-1 code's reports, with
+# independence_expected and independence_ok dropped and the corollary1_* keys
+# renamed to prefix_column_*; the check and trace hashes are unchanged.
 @pytest.mark.parametrize("gen,verb,sha256", [
     (["cerny", "--n", "9"], "probe",
-     "8c792a3ce67ce4bf814c354d81b95b7b2547afd9b7f450fa0cb8b2aed3a5d372"),
+     "dc9439d3a47ee8709d2b98ce617e5c99f05389d0f9d7eba43af99d6be2c02492"),
     (["random", "--n", "14", "--k", "2", "--seed", "0"], "probe",
-     "a3bf31f4900bad95fd237277045ae84355b329f363a843745734b47cf8c766ce"),
+     "829ef408172ca39ef17750b34be410a0c4cb03d555845116eed1d54b62563e70"),
     (["cerny", "--n", "7"], "trace",
      "b1850dffae6015fd32c80f7aeee62aefb0ec97d9c88a52507ed40dbd6b87dda8"),
     (["cerny", "--n", "17"], "check",
@@ -602,13 +625,13 @@ def test_enum_jobs_clamped_to_shards_and_cpus(capsys, monkeypatch):
     (["random", "--n", "22", "--k", "2", "--seed", "0"], "check",
      "d4a6a0beff39631c7cadee91d6cf701a91fe44cc8452532a9fbd54abe2f47d3d"),
     (["random", "--n", "1", "--k", "2", "--seed", "0"], "probe",
-     "5acd569d98c2cdaad2ad5478d0d11e29831fa27470cef07748c0006431f6adef"),
+     "d4dad18f3482fd6a30069213952aed8af28831a1ba9be2b739302f9dc6651fd3"),
     (["random", "--n", "1", "--k", "2", "--seed", "0"], "trace",
      "0a73963d6f0df61f98e432d81eceafaf6ec8428c1e1711f31d5628a2f0c55781"),
     (["cerny", "--n", "20"], "check",
      "533646e3c15e7d4a73dbb29a77cc8ab66dbe24393b27116495b49bbd15e43670"),
     (["cerny", "--n", "18"], "probe",
-     "115cfdd9896f559f54a5e3e1a8e5bcbda3881a8e091e0cf8cba0947b8b8b6c53"),
+     "9beef8f8493d8cc515a39c69f1f373f3d369507d116fc98cd930db3965175443"),
     (["cerny", "--n", "15"], "trace",
      "6ca191da7ad8a9d61fbd6ce1df3bb2e1395d74650eb9246e7ea80259c73b85f6"),
 ], ids=["probe-cerny9", "probe-random14", "trace-cerny7", "check-cerny17", "check-random24",
@@ -627,7 +650,9 @@ def test_probe_truncation_and_shortfall_pinned(tmp_path, capsys):
     # C_4's shortest word baaabaaab with a prepended: ten prefixes, nine of
     # rank above one, of which the probe keeps n(n-2) = 8, and the length-1
     # prefix finds no distinctive cell.  Recorded before the matching read
-    # the prefix images from the walk.
+    # the prefix images from the walk; the schema-2 hash was derived from the
+    # schema-1 code's report with the two independence aliases dropped and the
+    # corollary1_* keys renamed to prefix_column_*.
     path = tmp_path / "c4.txt"
     path.write_text(CERNY4_TEXT)
     code, out = run_main(["probe", str(path), "--word", "abaaabaaab", "--json"], capsys)
@@ -637,7 +662,7 @@ def test_probe_truncation_and_shortfall_pinned(tmp_path, capsys):
                                    "matching shortfall: 1 prefixes without a distinctive cell"]
     assert report["matching"]["unmatched_prefix_lengths"] == [1]
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == \
-        "e321201f274c335493dc76adc499c07815695afaec86c3ac8dc09b78ff455473"
+        "f20b848749772f6978fc7ea4da04ac9736afa90b9418535c62e47d9dfce09094"
     code, out = run_main(["probe", str(path), "--word", "abaaabaaab"], capsys)
     assert code == 0
     assert out == ("reset word: abaaabaaab (length 10), sink 1\n"
@@ -684,7 +709,7 @@ def test_render_matches_stdlib_json(tmp_path, monkeypatch):
     import rowsync.cli
 
     monkeypatch.setattr(rowsync.cli, "run_all", partial(run_all, samples=200, family_samples=20))
-    configs = [RunConfig(command="enum", n=3, k=2), RunConfig(command="enum", n=2, k=2, filter="sync"),
+    configs = [RunConfig(command="enum", n=3, k=2), RunConfig(command="enum", n=2, k=2, budget=16),
                RunConfig(command="lemmas", seed=1), RunConfig(command="gen", kind="cerny", n=5, k=2),
                RunConfig(command="gen", kind="random", n=4, k=3, seed=7, dot=True)]
     tables = [cerny_automaton(n) for n in range(3, 9)] + [random_dfa(6, 2, 1), random_dfa(7, 3, 2)]
@@ -720,19 +745,23 @@ def test_render_matches_stdlib_json(tmp_path, monkeypatch):
 # direct encoder test_render_matches_stdlib_json holds to it, before the
 # enum walker's tail cache (enum (4,3): before the walker combined its chunk
 # tables); the probe's config path is fixed so that the hash does not depend
-# on where the input was written.
+# on where the input was written.  The schema-2 hashes were derived from the
+# schema-1 code's documents: config.command, config.q, config.filter, enum's
+# examined and the probe's two independence aliases dropped, the corollary1_*
+# keys renamed in place to prefix_column_*, schema_version set to 2, and the
+# result rendered again with json.dumps(document, indent=2).
 @pytest.mark.parametrize("argv,sha256", [
-    (["enum", "--n", "3", "--k", "2"], "27a9bbec83899b28e7aa396b8027da9097ecea9e3548d6f40ba532ef715f16fd"),
-    (["enum", "--n", "3", "--k", "3"], "1181c2df7a7b93892eb3bdc890dda6375443edb4d1f5fdf801dc652650e39338"),
+    (["enum", "--n", "3", "--k", "2"], "983d708e3a57c0e55932e25df02757762d9bf0bd42956cc621a4c4946d7ca8e0"),
+    (["enum", "--n", "3", "--k", "3"], "805aa9b6008c7852ec9e4e09465db90c10793d7193b828b9689a999bd88d6a79"),
     (["enum", "--n", "3", "--k", "3", "--jobs", "2"],
-     "251e859c05b1d0355c413596a42496097d6968b90c97af5ad979a654b2bbf139"),
-    (["enum", "--n", "4", "--k", "2"], "4edc44ef8cd48a8c19682d09dc86b6c29b8ef214bdec9ee447361924f8fdef81"),
-    (["enum", "--n", "2", "--k", "4"], "226bc07d46ea142aa5142d1ceb3c502a0cf0d8d0b5db87f52496193cce00fdb8"),
-    (["enum", "--n", "4", "--k", "1"], "d8b10fa45994ddb9af69a16560b94f3059f94b1b15d5cdcef1d588c1ae2d4d79"),
+     "8552e695f05d4e9b45d44500ddec64d5e5f33fb9feba522f9d3de4a7b00c592b"),
+    (["enum", "--n", "4", "--k", "2"], "44448553d7945d29e2465a5159f6e7ac36cbff938694fe9e0b967e2df2688201"),
+    (["enum", "--n", "2", "--k", "4"], "6d6b7ad6a88807ecd678be42a66b9409bd457027b95bdb98d8f683427f22fe4f"),
+    (["enum", "--n", "4", "--k", "1"], "f80ec21ac0063c8a08c75fb3930ae3306bb95cbea989a295e4aee2675167c775"),
     (["enum", "--n", "4", "--k", "3", "--budget", "16777216"],
-     "38fdff20a94e6b5a5db40fc1fe86e6597089a4bc8683662cacd14c4c2d17d7bd"),
-    (["gen", "cerny", "--n", "6"], "e79a7eb5d8d6c11d1eafb4295aaaee58013cc8d2addb336c829558cf27e7a347"),
-    (["probe", "c6.txt"], "197b54aae332de6006adaa5127839c25e94b0ecebc01344067a784f354b7e3ca"),
+     "e91b5b119b45b458991042472d05a1911c5936c5cdc6b2b15d83259e77b36208"),
+    (["gen", "cerny", "--n", "6"], "e4d5bb859e44f9b8f230ed6f29d820d5687489713a1474370f33051e94708406"),
+    (["probe", "c6.txt"], "d0464fef678db9ca39bc9b27686ea21e247379362d7d830dc1a6b72ef947c500"),
 ], ids=["enum-3-2", "enum-3-3", "enum-3-3-jobs2", "enum-4-2", "enum-2-4", "enum-4-1", "enum-4-3",
         "gen-cerny6", "probe-cerny6"])
 def test_rendered_json_bytes_pinned(tmp_path, argv, sha256):

@@ -171,6 +171,14 @@ def test_basis_rejects_positions_outside_ambient():
     assert basis.dimension == 0
 
 
+@pytest.mark.parametrize("ambient", [True, 2.0, 2.5])
+def test_basis_refuses_a_non_int_ambient(ambient):
+    # Without the type check, 2.5 admits position 2 and True prints
+    # as the bound of "outside [0, True)".
+    with pytest.raises(DomainError, match="ambient dimension must be an int"):
+        RationalBasis(ambient)
+
+
 def test_basis_leaves_the_callers_row_alone():
     basis = RationalBasis(4)
     assert not basis.insert({0: 0})

@@ -82,7 +82,7 @@ def test_allocation_probe_cerny3_frozen():
     assert rep.matching.assignments == ((1, 0, 0), (2, 1, 0), (3, 2, 0))
     assert [s.targets for s in rep.solutions] == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
     assert rep.solutions_ok
-    assert rep.independence_rank == 4 and rep.independence_expected == 4 and rep.independence_ok
+    assert rep.independence_rank == 4 == len(rep.solutions) + 1
     assert [(v.length, v.holds) for v in rep.prefix_column_verdicts] == [
         (1, True), (2, False), (3, True), (4, True)]
     assert rep.bound.status == "within-bound" and rep.bound.length == 4
@@ -92,7 +92,7 @@ def test_allocation_probe_solutions_solve_their_prefixes():
     c4 = cerny_automaton(4)
     word = shortest_reset_word(c4)
     rep = allocation_probe(c4, word)
-    assert rep.matching.success and rep.solutions_ok and rep.independence_ok
+    assert rep.matching.success and rep.solutions_ok
     by_length = {r.length: i for i, r in enumerate(rep.trace.records)}
     for assignment, sol in zip(rep.matching.assignments, rep.solutions):
         length = assignment[0]
@@ -107,16 +107,21 @@ def test_prefix_column_counterexample_counts():
         dfa = cerny_automaton(n)
         rep = allocation_probe(dfa, shortest_reset_word(dfa))
         counts.append(sum(1 for v in rep.prefix_column_verdicts if not v.holds))
-        assert rep.matching.success and rep.independence_ok
+        assert rep.matching.success and rep.solutions_ok
     assert counts == [1, 3, 6, 10]
 
 
-def test_allocation_probe_q_override():
+def test_allocation_probe_q_is_the_sink():
+    # q is read off the walk, the one state the whole word maps every state to;
+    # there is no parameter to restate it.
+    for n in range(3, 7):
+        dfa = cerny_automaton(n)
+        word = shortest_reset_word(dfa)
+        for w in (word, (0,) + word, (1,) + word, word + (0,)):
+            assert set(matrix_of_word(dfa, w).targets) == {allocation_probe(dfa, w).q}
     c3 = cerny_automaton(3)
-    word = shortest_reset_word(c3)
-    assert allocation_probe(c3, word, q=1) == allocation_probe(c3, word)
-    with pytest.raises(DomainError):
-        allocation_probe(c3, word, q=2)
+    with pytest.raises(TypeError):
+        allocation_probe(c3, shortest_reset_word(c3), q=1)
 
 
 def test_allocation_probe_two_states():
@@ -124,7 +129,7 @@ def test_allocation_probe_two_states():
     rep = allocation_probe(dfa, (1,))
     assert rep.matching.prefix_count == 0 and rep.matching.cell_count == 0
     assert rep.matching.success and rep.solutions == () and rep.solutions_ok
-    assert rep.independence_rank == 1 and rep.independence_ok
+    assert rep.independence_rank == 1 and rep.solutions_ok
     rep = allocation_probe(dfa, (0, 1))
     assert rep.matching.prefix_count == 0
     assert any("keeping the first 0" in note for note in rep.notes)
@@ -146,7 +151,7 @@ def test_probe_json_shape():
     assert doc["automaton"] == {"n": 3, "k": 2, "delta": [[1, 2, 0], [1, 1, 2]]}
     assert doc["reset_word"] == "baab"
     assert doc["q"] == 1
-    assert doc["corollary1_counterexamples"] == 1
+    assert doc["prefix_column_counterexamples"] == 1
     assert doc["matching"]["assignments"][0] == {"prefix_length": 1, "row": 0, "column": 0}
     assert doc["bound_verdict"] == {"n": 3, "bound": 4, "length": 4, "status": "within-bound"}
     json.dumps(doc)
@@ -188,7 +193,8 @@ def test_probe_all_synchronizing_three_state():
             continue
         rep = allocation_probe(dfa, word)
         full += rep.matching.success
-        ok += bool(rep.matching.success and rep.solutions_ok and rep.independence_ok)
+        ok += bool(rep.matching.success and rep.solutions_ok
+                   and rep.independence_rank == len(rep.solutions) + 1)
     assert full == 549
     assert ok == 549
 
@@ -318,18 +324,17 @@ def test_probe_verdicts_against_elimination():
     for dfa, word in probe_subjects():
         rep = allocation_probe(dfa, word)
         truncated += any("keeping the first" in note for note in rep.notes)
-        fields = (rep.solutions_ok, rep.independence_rank, rep.independence_expected,
-                  rep.independence_ok)
+        fields = (rep.solutions_ok, rep.independence_rank)
         if not rep.matching.success:
             short += 1
-            assert fields == (None, None, None, None)
+            assert fields == (None, None)
             assert rep.solutions == ()
             continue
         full += 1
         for (length, _, _), sol in zip(rep.matching.assignments, rep.solutions):
             assert is_solution(matrix_of_word(dfa, word[:length]), sol, rep.q)
         measured = span_dimension((*rep.solutions, sink_matrix(dfa.n, rep.q)))
-        assert fields == (True, measured, len(rep.solutions) + 1, True)
+        assert fields == (True, measured)
         assert measured == len(rep.solutions) + 1
     assert full > 50 and short > 10 and truncated > 10
 
@@ -387,19 +392,22 @@ def pinned_probe_subjects():
 def test_probe_reports_pinned():
     # Recorded before the verdicts became properties of the matching: each
     # report's JSON document and every verdict the report object answers.
+    # The schema-2 digest was derived from the schema-1 code's reports, with
+    # independence_expected and independence_ok dropped from the document and
+    # the repr, and the two corollary1_* keys renamed in place to
+    # prefix_column_*; this code reproduces it.
     digest = hashlib.sha256()
     short = truncated = skipped = 0
     for dfa, word in pinned_probe_subjects():
         rep = allocation_probe(dfa, word)
         digest.update(json.dumps(rep.to_json_dict()).encode())
         digest.update(repr((rep.matching.success, rep.matching.prefix_count, rep.solutions_ok,
-                            rep.independence_rank, rep.independence_expected, rep.independence_ok,
-                            rep.bound.bound)).encode())
+                            rep.independence_rank, rep.bound.bound)).encode())
         short += not rep.matching.success
         truncated += any("keeping the first" in note for note in rep.notes)
         skipped += rep.bound.status == "skipped-capacity"
     assert (short, truncated, skipped) == (14, 28, 1)
-    assert digest.hexdigest() == "fd20b7150fc2c4171d5e890006479bd6e65427d86a75f9c01421c4152a6f7bcf"
+    assert digest.hexdigest() == "96afc58874223b211285fefab0e0739b2d8b6cbfdae74df6607e453852f74b2a"
 
 
 def test_probe_builds_one_matrix_per_solution_and_trace_none(monkeypatch, tmp_path):

@@ -53,8 +53,9 @@ def corpus(names: list[str]) -> list[list[str]]:
     for json_flag in ([], ["--json"]):
         runs += [
             ["probe", "cerny04.txt", "--word", "abaaabaaab", *json_flag],
+            ["probe", "cerny04.txt", "--word", "baaabaaab", *json_flag],
+            # Refused: the sink is where the word lands, and no option restates it.
             ["probe", "cerny04.txt", "--word", "baaabaaab", "--q", "1", *json_flag],
-            ["probe", "cerny04.txt", "--word", "baaabaaab", "--q", "2", *json_flag],
             ["probe", "cerny05.txt", "--word", "ab", *json_flag],
             ["probe", "collapse25.txt", "--word", "a", *json_flag],
             ["trace", "cerny06.txt", "--word", "abaaaaabaaaaabaaaaabaaaaab", *json_flag],
@@ -69,6 +70,8 @@ def corpus(names: list[str]) -> list[list[str]]:
             runs += [["enum", "--n", str(n), "--k", str(k)],
                      ["enum", "--n", str(n), "--k", str(k), "--json", "--jobs", "2"]]
     runs.append(["enum", "--n", "3", "--k", "2", "--limit", "2"])
+    # Refused: every enum report gives both the table and the synchronizing count.
+    runs.append(["enum", "--n", "2", "--k", "2", "--filter", "sync"])
     # Past n, k <= 3: k >= 4 groups its tails by middle rows, and (4,3) is 4^12 tables.
     # (5,1), (6,1) and (7,1) list 47, 130 and 343 classes; (5,2) floods row-2
     # orbits under centralisers up to S_5.
