@@ -15,10 +15,8 @@ work on the pair automaton instead, so they stay usable where the exact
 search does not.
 The enum walker lists the tables up to state relabelling and letter
 permutation by flooding orbits of map indices along the index permutations of
-a few relabellings, and searches the raw rows it builds from range(n): Dfa
-validates input at the boundary only.  When it first holds a prefix of rows,
-it ORs the last row's piece tables into the prefix's chunk tables once, so a
-table's chunk tables are three index reads.
+a few relabellings.  It keeps maps as indices and decodes rows only to build
+a shared prefix's chunk tables, with letter 0's piece tables ORed in once.
 """
 
 from __future__ import annotations
@@ -176,24 +174,23 @@ def _successor_masks(rows: Sequence[Sequence[int]], first: int) -> list[int]:
     return masks
 
 
-def _search_capacity_error(n: int, limit: int) -> CapacityError:
-    """The refusal of an exact search on n states above limit."""
-    return CapacityError(f"exact subset search handles n <= {limit} (got n = {n}); "
-                         "raise the limit or fall back to greedy_reset_word")
+def _check_search_limit(n: int, limit: int) -> None:
+    """Refuse an exact search on n states above limit."""
+    if n > limit:
+        raise CapacityError(f"exact subset search handles n <= {limit} (got n = {n}); "
+                            "raise the limit or fall back to greedy_reset_word")
 
 
-def _search(delta: Sequence[Sequence[int]], limit: int, tables=None) -> Word | None:
-    """The subset search on trusted raw rows: a Dfa's delta, or rows the enum
-    walker built from range(n).
+def _search(n: int, k: int, tables) -> Word | None:
+    """The exact search of an n-state, k-letter automaton, read from its chunk tables alone.
 
     Subsets are bitmasks.  The states are cut into three chunks of
     w = ceil(n/3) states, and each chunk has one table mapping every subset
     of its states to the images of that subset under all k letters at once,
     letter a's image in bits a*n .. a*n+n-1 of one integer: _chunk_tables
     over each state's k successors.  The images of any subset are the OR of
-    exactly three lookups.  A caller that already holds these tables, as
-    the enum walker does, passes them as tables; the capacity check still
-    comes first.
+    exactly three lookups, and tables[p // w][1 << p % w] is state p's
+    successor mask.
 
     The forward BFS runs from the full set.  Once one of its levels holds
     more than _RACE * n subsets, a backward BFS starts from the n
@@ -217,14 +214,9 @@ def _search(delta: Sequence[Sequence[int]], limit: int, tables=None) -> Word | N
     that still leads to a reset word of length d, at every step, and
     returns the least shortest reset word, the one the forward side gives.
     """
-    n, k = len(delta[0]), len(delta)
-    if n > limit:
-        raise _search_capacity_error(n, limit)
     if n == 1:
         return ()
     w = _chunk_width(n)
-    if tables is None:
-        tables = _chunk_tables(_successor_masks(delta, 0), w)
     t0, t1, t2 = tables
     mask = (1 << w) - 1
     w2 = 2 * w
@@ -239,10 +231,10 @@ def _search(delta: Sequence[Sequence[int]], limit: int, tables=None) -> Word | N
         if len(level) > cap:
             if not back:
                 preimages = [0] * n
-                for s, row in zip(shifts, delta):
-                    base = 1 << s
-                    for p, q in enumerate(row):
-                        preimages[q] |= base << p
+                for p in range(n):
+                    sets = tables[p // w][1 << p % w]
+                    for s in shifts:
+                        preimages[(sets >> s & full).bit_length() - 1] |= 1 << s + p
                 b0, b1, b2 = _chunk_tables(preimages, w)
                 back.append([1 << q for q in range(n)])
                 # 0, the empty preimage, is marked seen so that it is never pushed.
@@ -299,6 +291,12 @@ def _search(delta: Sequence[Sequence[int]], limit: int, tables=None) -> Word | N
     return None
 
 
+def _dfa_search(dfa: Dfa, limit: int) -> Word | None:
+    """_search on a Dfa, whose tables are built only once the limit check has passed."""
+    _check_search_limit(dfa.n, limit)
+    return _search(dfa.n, dfa.k, _chunk_tables(_successor_masks(dfa.delta, 0), _chunk_width(dfa.n)))
+
+
 def shortest_reset_word(dfa: Dfa, limit: int = EXACT_SEARCH_LIMIT) -> Word | None:
     """Exact shortest reset word, or None if the automaton is not synchronizing.
 
@@ -310,12 +308,12 @@ def shortest_reset_word(dfa: Dfa, limit: int = EXACT_SEARCH_LIMIT) -> Word | Non
     least among all shortest reset words, and the backward side's word walk
     picks that same word.
     """
-    return _search(dfa.delta, limit)
+    return _dfa_search(dfa, limit)
 
 
 def shortest_reset_length(dfa: Dfa, limit: int = EXACT_SEARCH_LIMIT) -> int | None:
     """Length of the shortest reset word, or None if the automaton is not synchronizing."""
-    word = _search(dfa.delta, limit)
+    word = _dfa_search(dfa, limit)
     return None if word is None else len(word)
 
 
@@ -456,6 +454,11 @@ def _index_permutation(s: Sequence[int]) -> array:
     return p
 
 
+def _row(j: int, n: int) -> tuple[int, ...]:
+    """The j-th map [n] -> [n] in lexicographic order: j's n base-n digits."""
+    return tuple(j // n ** (n - 1 - i) % n for i in range(n))
+
+
 def _flood(perms: list[array], marks, j: int, label: int) -> int:
     """Mark the orbit of index j under the group that perms generate with label; return its size.
 
@@ -519,8 +522,7 @@ def conjugacy_classes(n: int) -> tuple[list[tuple[tuple[int, ...], int]], array]
     classes = []
     for j, d in enumerate(class_id):
         if d == _UNREACHED:
-            f = tuple(j // n ** (n - 1 - i) % n for i in range(n))
-            classes.append((f, _flood(perms, class_id, j, len(classes))))
+            classes.append((_row(j, n), _flood(perms, class_id, j, len(classes))))
     return classes, class_id
 
 
@@ -597,14 +599,14 @@ def _enum_shard_stats(params: tuple) -> dict:
 
     For the same reason a table's last row can be letter 0 and rows 1..k-1
     letters 1..k-1, a prefix that many tables share (row 1 for k = 2; the
-    unit and rows 3..k-1 for k >= 3, held across every last-row class).  When
-    a prefix is first held, its chunk tables are built and letter 0's piece
-    tables ORed into them, once, so a table's chunk tables are three index
-    reads; k = 1 builds its own.  Returns the length histogram, whose counts sum to the
-    synchronizing count, and the weight covered.
+    unit and rows 3..k-1 for k >= 3, held across every last-row class as row
+    1's class and map indices).  When a prefix is first held, its rows are
+    decoded, its chunk tables built and letter 0's piece tables ORed in, once,
+    so a table's chunk tables are three index reads; k = 1 builds its own.
+    Returns the length histogram, whose counts sum to the synchronizing
+    count, and the weight covered.
     """
-    n, k, classes, class_id, limit, picked = params
-    maps = list(product(range(n), repeat=n)) if k > 1 else []
+    n, k, classes, class_id, picked = params
     members: list[list[int]] = [[] for _ in classes]
     if k > 2:
         for j, c in enumerate(class_id):
@@ -620,7 +622,7 @@ def _enum_shard_stats(params: tuple) -> dict:
         f = classes[c][0]
         if k == 1:
             covered += weight
-            word = _search((f,), limit)
+            word = _search(n, 1, _chunk_tables(_successor_masks((f,), 0), w))
             if word is not None:
                 hist[len(word)] += weight
             continue
@@ -632,7 +634,7 @@ def _enum_shard_stats(params: tuple) -> dict:
                 a0, a1, a2 = hold(_chunk_tables(_successor_masks((f,), 1), w))
             table_weight = weight if d == c else 2 * weight
             covered += table_weight
-            word = _search((maps[j], f), limit, (a0[j // m12], a1[j // m2 % m1], a2[j % m2]))
+            word = _search(n, 2, (a0[j // m12], a1[j // m2 % m1], a2[j % m2]))
             if word is not None:
                 hist[len(word)] += table_weight
             continue
@@ -642,17 +644,17 @@ def _enum_shard_stats(params: tuple) -> dict:
                  [(members[e], factorial(k) // prod(map(factorial, Counter((c, d, *middle, e)).values())))
                   for e in range((d, *middle)[-1], len(classes))])
                 for middle in combinations_with_replacement(range(d, len(classes)), k - 3)]
-        head = (f, maps[j])
-        groups = ((head + tuple(map(maps.__getitem__, rows)), lasts, weight * orders)
+        groups = (((c, j, *rows), lasts, weight * orders)
                   for middle_members, ends in shapes for rows in product(*middle_members)
                   for lasts, orders in ends)
         for prefix, lasts, table_weight in groups:
             if prefix != held:
                 held = prefix
-                a0, a1, a2 = hold(_chunk_tables(_successor_masks(prefix, 1), w))
+                letters = (f, *(_row(i, n) for i in prefix[1:]))
+                a0, a1, a2 = hold(_chunk_tables(_successor_masks(letters, 1), w))
             covered += table_weight * len(lasts)
             for i in lasts:
-                word = _search((maps[i], *prefix), limit, (a0[i // m12], a1[i // m2 % m1], a2[i % m2]))
+                word = _search(n, k, (a0[i // m12], a1[i // m2 % m1], a2[i % m2]))
                 if word is not None:
                     hist[len(word)] += table_weight
     return {"hist": hist, "weight": covered}

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from multiprocessing import Pool
 
-from .automaton import (DEFAULT_ENUM_BUDGET, EXACT_SEARCH_LIMIT, Dfa, _enum_shard_stats,
-                        _search_capacity_error, cerny_automaton, cerny_bound, conjugacy_classes,
+from .automaton import (DEFAULT_ENUM_BUDGET, EXACT_SEARCH_LIMIT, Dfa, _check_search_limit,
+                        _enum_shard_stats, cerny_automaton, cerny_bound, conjugacy_classes,
                         count_dfas, cubic_bound, format_word, greedy_reset_word, is_strongly_connected,
                         parse_word, random_dfa, read_dfa, shortest_reset_word, to_dot, write_dfa_text)
 from .errors import CapacityError, RowsyncError
@@ -281,21 +281,19 @@ def _run_enum(config: RunConfig) -> RunResult:
     if total > config.budget:
         raise CapacityError(f"enumerating {total} tables exceeds the budget of {config.budget}; "
                             "raise --budget to proceed")
-    # Every table is searched, so refuse here what _search would refuse on the first one.
-    if n > config.limit:
-        raise _search_capacity_error(n, config.limit)
-    # n^n <= n^(nk) <= budget, so the listings' bytes are covered too: 2 n^n
-    # of class ids, n^n of orbit marks, and 4 n^n per index permutation held,
-    # two for the classes and one per generator of a centraliser for the units
-    # (at most 4 for n <= 7).
+    # Every table is searched, and _search checks no limit, so refuse n above it before the walk.
+    _check_search_limit(n, config.limit)
+    # n^n <= n^(nk) <= budget, so the per-map bytes are covered too: 2 n^n of
+    # class ids, n^n of orbit marks, 4 n^n per index permutation held (two for
+    # the classes, one per generator of a centraliser for the units, at most 4
+    # for n <= 7), and for k >= 3 one list entry per map in the member lists.
     classes, class_id = conjugacy_classes(n)
     # Worker i takes the row-1 classes i, i + workers, ... and walks only their
     # units.  Dealing the classes round robin splits the unit counts about
     # evenly (21,132 and 21,629 units of (5,2) over two workers), and no
     # worker goes without a class.
     workers = min(config.jobs, os.cpu_count() or 1, len(classes))
-    shards = [(n, k, classes, class_id, config.limit, range(i, len(classes), workers))
-              for i in range(workers)]
+    shards = [(n, k, classes, class_id, range(i, len(classes), workers)) for i in range(workers)]
     if len(shards) == 1:
         parts = [_enum_shard_stats(shards[0])]
     else:

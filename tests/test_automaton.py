@@ -331,6 +331,18 @@ def test_backward_side_alone_and_interleaved(monkeypatch):
         assert [shortest_reset_word(d) for d in cases] == expected, race
 
 
+def test_backward_side_on_enum_tables(monkeypatch):
+    # The enum walker's chunk tables have letter 0's piece tables ORed in,
+    # and the backward side reads each state's successor mask from them.
+    # With _RACE = 0 every search runs the backward side alone, so a
+    # preimage read from the wrong entry changes some histogram.
+    sizes = ((3, 2), (3, 3), (4, 2), (2, 4), (3, 4))
+    expected = [run(RunConfig(command="enum", n=n, k=k, json_output=True)).document for n, k in sizes]
+    monkeypatch.setattr(rowsync.automaton, "_RACE", 0)
+    for (n, k), document in zip(sizes, expected):
+        assert run(RunConfig(command="enum", n=n, k=k, json_output=True)).document == document, (n, k)
+
+
 def test_pair_criterion_agrees_with_subset_search():
     for d in all_tables(3, 2):
         assert is_synchronizing(d) == (shortest_reset_length(d) is not None)
@@ -355,11 +367,8 @@ def test_exact_search_capacity():
 
 
 def test_capacity_check_precedes_table_building(monkeypatch):
-    # n > limit is refused before any chunk table is built, also when the
-    # caller passes tables of its own.
-    delta = cerny_automaton(40).delta
-    tables = rowsync.automaton._chunk_tables([0] * 40, 14)
-
+    # n > limit is refused before any chunk table is built, by both exact
+    # searches and by enum --limit, which refuses before its walk.
     def refuse(masks, w):
         raise AssertionError("chunk tables built before the capacity check")
 
@@ -367,7 +376,9 @@ def test_capacity_check_precedes_table_building(monkeypatch):
     with pytest.raises(CapacityError):
         shortest_reset_word(cerny_automaton(40))
     with pytest.raises(CapacityError):
-        rowsync.automaton._search(delta, EXACT_SEARCH_LIMIT, tables)
+        shortest_reset_length(cerny_automaton(40))
+    with pytest.raises(CapacityError):
+        run(RunConfig(command="enum", n=3, k=2, limit=2))
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -391,7 +402,7 @@ def test_enum_combined_tables_equal_built_tables(n):
             j = sum(t * n ** (n - 1 - i) for i, t in enumerate(first))
             tables = (a0[j // (m1 * m2)], a1[j // m2 % m1], a2[j % m2])
             assert tables == automaton._chunk_tables(automaton._successor_masks(delta, 0), w), delta
-            assert automaton._search(delta, n, tables) == automaton._search(delta, n), delta
+            assert automaton._search(n, k, tables) == shortest_reset_word(Dfa(n, k, delta), n), delta
 
 
 def test_greedy_reset_word():

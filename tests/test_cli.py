@@ -302,7 +302,7 @@ def test_enum_class_shards_add_up():
             (3, 3, 19683, 18375, {1: 5859, 2: 10680, 3: 1440, 4: 396})):
         classes, class_id = conjugacy_classes(n)
         picks = (range(0, 1), range(1, 3), range(3, len(classes), 2), range(4, len(classes), 2))
-        parts = [_enum_shard_stats((n, k, classes, class_id, 24, picked)) for picked in picks]
+        parts = [_enum_shard_stats((n, k, classes, class_id, picked)) for picked in picks]
         assert sum(part["weight"] for part in parts) == total
         assert sum(sum(part["hist"].values()) for part in parts) == sync
         assert sum((part["hist"] for part in parts), Counter()) == histogram
@@ -320,9 +320,9 @@ def test_enum_search_counts(monkeypatch):
     calls = Counter()
     search = rowsync.automaton._search
 
-    def counted(delta, limit, tables=None):
-        calls[len(delta[0]), len(delta)] += 1
-        return search(delta, limit, tables)
+    def counted(n, k, tables):
+        calls[n, k] += 1
+        return search(n, k, tables)
 
     monkeypatch.setattr(rowsync.automaton, "_search", counted)
     for n, k in ((3, 2), (3, 3), (4, 2)):
@@ -333,38 +333,46 @@ def test_enum_search_counts(monkeypatch):
 def test_enum_builds_chunk_tables_per_prefix_not_per_table(monkeypatch):
     # Every table's chunk tables are read from tables the walker built once
     # per shard or once per prefix of rows 1..k-1, so no search builds its
-    # own, and each distinct prefix searched has its tables built exactly
-    # once: a prefix is held across every last-row class it serves, for
-    # k >= 4 too.  Piece tables cover one chunk's states, prefix tables all n.
+    # own, and each distinct prefix has its tables built exactly once: a
+    # prefix is held across every last-row class it serves, for k >= 4 too.
+    # Piece tables cover one chunk's states, prefix tables all n, and a
+    # prefix's rows are decoded as letters 1..k-1 only to build them.
     import rowsync.automaton
 
-    builds, searches, prefixes = [], [], set()
-    build, search = rowsync.automaton._chunk_tables, rowsync.automaton._search
+    builds, searches, prefixes = [], [], []
+    build, masks_of = rowsync.automaton._chunk_tables, rowsync.automaton._successor_masks
+    search = rowsync.automaton._search
 
     def counted_build(masks, w):
         builds.append(len(masks))
         return build(masks, w)
 
-    def counted_search(delta, limit, tables=None):
-        searches.append(tables is not None)
-        prefixes.add(tuple(delta[1:]))
-        return search(delta, limit, tables)
+    def recorded_masks(rows, first):
+        if first == 1:
+            prefixes.append(tuple(map(tuple, rows)))
+        return masks_of(rows, first)
+
+    def counted_search(n, k, tables):
+        searches.append((n, k))
+        return search(n, k, tables)
 
     monkeypatch.setattr(rowsync.automaton, "_chunk_tables", counted_build)
+    monkeypatch.setattr(rowsync.automaton, "_successor_masks", recorded_masks)
     monkeypatch.setattr(rowsync.automaton, "_search", counted_search)
     for n, k, count in ((4, 2, 1523), (3, 3, 931), (2, 5, 63), (3, 4, 9743)):
         builds.clear()
         searches.clear()
         prefixes.clear()
         assert run(RunConfig(command="enum", n=n, k=k)).exit_code == 0
-        assert len(searches) == count and all(searches)
-        assert builds.count(n) == len(prefixes)
+        assert searches == [(n, k)] * count
+        assert len(set(prefixes)) == len(prefixes) == builds.count(n)
+        assert all(len(rows) == k - 1 for rows in prefixes)
         assert len(builds) < count
 
 
 def test_enum_builds_no_dfa(monkeypatch):
-    # The walker builds every table from range(n) and searches its raw rows;
-    # Dfa validation belongs to input at the boundary.
+    # The walker addresses every map by its index and searches chunk tables
+    # it builds itself; Dfa validation belongs to input at the boundary.
     def refuse(self):
         raise AssertionError("enum built a Dfa")
 
