@@ -21,6 +21,7 @@ a shared prefix's chunk tables, with letter 0's piece tables ORed in once.
 
 from __future__ import annotations
 
+import os
 import random
 import re
 from array import array
@@ -32,7 +33,7 @@ from math import factorial, prod
 from operator import add, or_
 from typing import Sequence
 
-from .errors import CapacityError, DomainError, InvalidWordError, ParseError
+from .errors import CapacityError, DomainError, InvalidWordError, ParseError, RowsyncError
 
 Word = tuple[int, ...]
 
@@ -129,7 +130,7 @@ def parse_word(text: str, k: int) -> Word:
         return ()
     if any(ch.isdigit() for ch in text):
         letters = tuple(map(_decimal, text.replace(",", " ").split()))
-        if None in letters:
+        if None in letters or "" in map(str.strip, text.split(",")):
             raise InvalidWordError(f"cannot parse word {text!r} as letter indices")
     else:
         # ch.lower() per character, so 'İ' stays refused and the Kelvin sign reads as 'k'.
@@ -658,6 +659,37 @@ def _enum_shard_stats(params: tuple) -> dict:
                 if word is not None:
                     hist[len(word)] += table_weight
     return {"hist": hist, "weight": covered}
+
+
+def _enum_lengths(n: int, k: int, budget: int, limit: int, jobs: int) -> Counter[int]:
+    """The shortest reset length histogram of all n^(nk) tables: enum's whole pass.
+
+    Jobs below 1, sizes below 1, more tables than budget and n above limit,
+    which _search does not check, are refused before the listing, whose O(n^n)
+    bytes the budget covers as n^n <= n^(nk).  Dealing the row-1 classes round
+    robin to min(jobs, CPU count, class count) workers splits the units about
+    evenly (21,132 and 21,629 of (5,2) over two); weights that miss n^(nk) raise.
+    """
+    if jobs < 1:
+        raise RowsyncError(f"--jobs must be at least 1, got {jobs}")
+    total = count_dfas(n, k)
+    if total > budget:
+        raise CapacityError(f"enumerating {total} tables exceeds the budget of {budget}; "
+                            "raise --budget to proceed")
+    _check_search_limit(n, limit)
+    classes, class_id = conjugacy_classes(n)
+    workers = min(jobs, os.cpu_count() or 1, len(classes))
+    shards = [(n, k, classes, class_id, range(i, len(classes), workers)) for i in range(workers)]
+    if workers == 1:
+        parts = [_enum_shard_stats(shards[0])]
+    else:
+        from multiprocessing import Pool  # here, so that importing rowsync does not load it
+        with Pool(processes=workers) as pool:
+            parts = pool.map(_enum_shard_stats, shards)
+    covered = sum(p["weight"] for p in parts)
+    if covered != total:
+        raise RowsyncError(f"enum weights cover {covered} of the {total} tables; the listing is wrong")
+    return sum((p["hist"] for p in parts), Counter())
 
 
 def _random_dfa(rng: random.Random, n: int, k: int) -> Dfa:

@@ -11,17 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from multiprocessing import Pool
 
-from .automaton import (DEFAULT_ENUM_BUDGET, EXACT_SEARCH_LIMIT, Dfa, _check_search_limit,
-                        _enum_shard_stats, cerny_automaton, cerny_bound, conjugacy_classes,
-                        count_dfas, cubic_bound, format_word, greedy_reset_word, is_strongly_connected,
-                        parse_word, random_dfa, read_dfa, shortest_reset_word, to_dot, write_dfa_text)
+from .automaton import (DEFAULT_ENUM_BUDGET, EXACT_SEARCH_LIMIT, Dfa, _enum_lengths, cerny_automaton,
+                        cerny_bound, count_dfas, cubic_bound, format_word, greedy_reset_word,
+                        is_strongly_connected, parse_word, random_dfa, read_dfa, shortest_reset_word, to_dot,
+                        write_dfa_text)
 from .errors import CapacityError, RowsyncError
 from .probe import allocation_probe, prefix_trace
 from .rowmon import is_permutation, matrix_of_word, nonzero_columns, rank
@@ -274,35 +271,8 @@ def _run_gen(config: RunConfig) -> RunResult:
 
 def _run_enum(config: RunConfig) -> RunResult:
     n, k = config.n, config.k
-    if config.jobs < 1:
-        raise RowsyncError(f"--jobs must be at least 1, got {config.jobs}")
-    # count_dfas refuses n < 1 or k < 1, before the budget and the class listing.
+    hist = _enum_lengths(n, k, config.budget, config.limit, config.jobs)
     total = count_dfas(n, k)
-    if total > config.budget:
-        raise CapacityError(f"enumerating {total} tables exceeds the budget of {config.budget}; "
-                            "raise --budget to proceed")
-    # Every table is searched, and _search checks no limit, so refuse n above it before the walk.
-    _check_search_limit(n, config.limit)
-    # n^n <= n^(nk) <= budget, so the per-map bytes are covered too: 2 n^n of
-    # class ids, n^n of orbit marks, 4 n^n per index permutation held (two for
-    # the classes, one per generator of a centraliser for the units, at most 4
-    # for n <= 7), and for k >= 3 one list entry per map in the member lists.
-    classes, class_id = conjugacy_classes(n)
-    # Worker i takes the row-1 classes i, i + workers, ... and walks only their
-    # units.  Dealing the classes round robin splits the unit counts about
-    # evenly (21,132 and 21,629 units of (5,2) over two workers), and no
-    # worker goes without a class.
-    workers = min(config.jobs, os.cpu_count() or 1, len(classes))
-    shards = [(n, k, classes, class_id, range(i, len(classes), workers)) for i in range(workers)]
-    if len(shards) == 1:
-        parts = [_enum_shard_stats(shards[0])]
-    else:
-        with Pool(processes=len(shards)) as pool:
-            parts = pool.map(_enum_shard_stats, shards)
-    covered = sum(p["weight"] for p in parts)
-    if covered != total:
-        raise RowsyncError(f"enum weights cover {covered} of the {total} tables; the listing is wrong")
-    hist = sum((p["hist"] for p in parts), Counter())
     sync = sum(hist.values())
     bound = cerny_bound(n)
     max_length = max(hist, default=None)

@@ -202,6 +202,15 @@ def test_plain_decimal_integers_still_parse():
         parse_word("\u0660,\u0661", 2)
 
 
+def test_parse_word_refuses_blank_comma_items():
+    # A doubled or stray comma would otherwise drop a letter without a word of warning.
+    for text in ("1,,2", ",1", "1,", "1, ,2"):
+        with pytest.raises(InvalidWordError) as err:
+            parse_word(text, 3)
+        assert str(err.value) == f"cannot parse word {text!r} as letter indices"
+    assert parse_word("1 , 2", 3) == parse_word("1 2", 3) == (1, 2)
+
+
 def test_cerny_construction():
     d = cerny_automaton(4)
     assert d.delta == ((1, 2, 3, 0), (1, 1, 2, 3))

@@ -402,51 +402,52 @@ def test_enum_weight_guard_exits_one(capsys, monkeypatch, n, k):
     assert f"of the {n ** (n * k)} tables" in captured.err
 
 
-def test_enum_budget_exits_one(capsys, monkeypatch):
-    import rowsync.cli
+@pytest.fixture
+def refuse_listing(monkeypatch):
+    """Fails a test whose enum run lists the classes or makes a pool."""
+    import multiprocessing
 
-    def refuse(n):
-        raise AssertionError("conjugacy classes listed before the budget check")
+    import rowsync.automaton
 
-    # The listing takes O(n^n) bytes; n^n <= n^(nk), so the budget check must come first.
-    monkeypatch.setattr(rowsync.cli, "conjugacy_classes", refuse)
-    assert main(["enum", "--n", "4", "--k", "3"]) == 1
-    assert "exceeds the budget of 1000000" in capsys.readouterr().err
+    def refuse(*args, **kwargs):
+        raise AssertionError("classes listed or pool made before a refusal")
+
+    monkeypatch.setattr(rowsync.automaton, "conjugacy_classes", refuse)
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
 
 
-def test_enum_limit_below_n_exits_one(capsys, monkeypatch):
-    import rowsync.cli
+def test_enum_budget_exits_one(capsys, refuse_listing):
+    # The listing takes O(n^n) bytes; n^n <= n^(nk), so the budget check must
+    # come first, and before the limit check.
+    for extra in ([], ["--limit", "2"]):
+        assert main(["enum", "--n", "4", "--k", "3", "--jobs", "2", *extra]) == 1
+        assert capsys.readouterr().err == ("rowsync: error: enumerating 16777216 tables exceeds "
+                                           "the budget of 1000000; raise --budget to proceed\n")
 
-    def refuse(n):
-        raise AssertionError("conjugacy classes listed before the limit check")
 
+def test_enum_limit_below_n_exits_one(capsys, refuse_listing):
     # Every table is searched, so --limit below n is refused before any listing or pool.
-    monkeypatch.setattr(rowsync.cli, "conjugacy_classes", refuse)
     assert main(["enum", "--n", "3", "--k", "2", "--limit", "2", "--jobs", "2"]) == 1
     assert capsys.readouterr().err == ("rowsync: error: exact subset search handles n <= 2 (got n = 3); "
                                        "raise the limit or fall back to greedy_reset_word\n")
 
 
 @pytest.mark.parametrize("n,k", [(3, 0), (3, -1), (-1, 3)])
-def test_enum_rejects_non_positive_sizes(capsys, monkeypatch, n, k):
-    import rowsync.cli
-
-    def refuse(n):
-        raise AssertionError("conjugacy classes listed before the size check")
-
+def test_enum_rejects_non_positive_sizes(capsys, refuse_listing, n, k):
     # --budget 0 would refuse any table count, so only the size check may answer.
-    monkeypatch.setattr(rowsync.cli, "conjugacy_classes", refuse)
-    assert main(["enum", "--n", str(n), "--k", str(k), "--budget", "0"]) == 1
-    assert f"rowsync: error: need n >= 1 and k >= 1, got n = {n}, k = {k}" in capsys.readouterr().err
+    assert main(["enum", "--n", str(n), "--k", str(k), "--budget", "0", "--jobs", "2"]) == 1
+    assert capsys.readouterr().err == f"rowsync: error: need n >= 1 and k >= 1, got n = {n}, k = {k}\n"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_enum_rejects_jobs_below_one(capsys, jobs):
-    # One worker would run, so a report saying "jobs": 0 would not describe the run.
-    assert main(["enum", "--n", "3", "--k", "2", "--jobs", jobs, "--json"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"rowsync: error: --jobs must be at least 1, got {jobs}\n"
+def test_enum_rejects_jobs_below_one(capsys, refuse_listing, jobs):
+    # One worker would run, so a report saying "jobs": 0 would not describe the
+    # run.  The jobs check comes first, ahead of a size that is refused too.
+    for n in ("3", "0"):
+        assert main(["enum", "--n", n, "--k", "2", "--jobs", jobs, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rowsync: error: --jobs must be at least 1, got {jobs}\n"
     with pytest.raises(RowsyncError, match="--jobs"):
         run(RunConfig(command="enum", n=3, k=2, jobs=int(jobs)))
 
@@ -527,6 +528,74 @@ def test_lemmas_clean_run(capsys):
         "rank-monotonicity", "sum-conditions", "basis-dimension", "sink-equation"}
 
 
+@pytest.fixture
+def bound_one_short(monkeypatch):
+    """(n-1)^2 - 1 as the bound, so C_4's shortest reset word, of length 9, exceeds it."""
+    import rowsync.cli
+    import rowsync.probe
+
+    for module in (rowsync.cli, rowsync.probe):
+        monkeypatch.setattr(module, "cerny_bound", lambda n: (n - 1) * (n - 1) - 1)
+
+
+def test_check_exceeding_bound_exits_two(tmp_path, capsys, bound_one_short):
+    path = tmp_path / "c4.txt"
+    path.write_text(CERNY4_TEXT)
+    code, out = run_main(["check", str(path)], capsys)
+    assert code == 2
+    assert "bound (n-1)^2 = 8: EXCEEDS BOUND\n" in out
+    code, out = run_main(["check", str(path), "--json"], capsys)
+    assert code == 2
+    report = json.loads(out)["report"]
+    assert (report["shortest_length"], report["bound"], report["within_bound"]) == (9, 8, False)
+
+
+def test_probe_exceeding_bound_exits_two(tmp_path, capsys, bound_one_short):
+    path = tmp_path / "c4.txt"
+    path.write_text(CERNY4_TEXT)
+    code, out = run_main(["probe", str(path)], capsys)
+    assert code == 2
+    assert "bound: length 9 vs (n-1)^2 = 8: exceeds-bound\n" in out
+    code, out = run_main(["probe", str(path), "--json"], capsys)
+    assert code == 2
+    assert json.loads(out)["report"]["bound_verdict"] == {
+        "n": 4, "bound": 8, "length": 9, "status": "exceeds-bound"}
+
+
+def test_enum_exceeding_bound_exits_two(capsys, bound_one_short):
+    code, out = run_main(["enum", "--n", "3", "--k", "2"], capsys)
+    assert code == 2
+    assert "max shortest length: 4 (bound 3): EXCEEDS BOUND\n" in out
+    code, out = run_main(["enum", "--n", "3", "--k", "2", "--json"], capsys)
+    assert code == 2
+    report = json.loads(out)["report"]
+    assert (report["bound"], report["max_length"], report["max_length_count"]) == (3, 4, 24)
+    assert report["exceeds_bound"] == 24 and report["verdict"] == "exceeds-bound"
+
+
+def test_lemmas_violation_exits_two(capsys, monkeypatch):
+    # matrix_rank one high breaks every rank-monotonicity sample; the human
+    # report prints the first five violations of each failing suite.
+    import rowsync.cli
+    import rowsync.suites
+
+    rank = rowsync.suites.matrix_rank
+    monkeypatch.setattr(rowsync.suites, "matrix_rank", lambda m: rank(m) + 1)
+    monkeypatch.setattr(rowsync.cli, "run_all", partial(run_all, samples=8, family_samples=4))
+    code, out = run_main(["lemmas"], capsys)
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[0] == "rank-monotonicity: 8 checks, 8 violations"
+    assert all(line.startswith("  sample ") and ": elimination rank " in line for line in lines[1:6])
+    assert [line.split(":")[0] for line in lines[6:]] == ["sum-conditions", "basis-dimension", "sink-equation"]
+    assert all(line.endswith(" checks, ok") for line in lines[6:])
+    code, out = run_main(["lemmas", "--json"], capsys)
+    assert code == 2
+    suites = json.loads(out)["report"]["suites"]
+    assert [s["ok"] for s in suites] == [False, True, True, True]
+    assert len(suites[0]["violations"]) == 8
+
+
 def test_probe_honours_limit_with_given_word(tmp_path, capsys):
     path = str(tmp_path / "c14.txt")
     assert main(["gen", "cerny", "--n", "14", "-o", path]) == 0
@@ -583,20 +652,22 @@ class PoolRecorder:
 
 
 def test_enum_jobs_clamped_to_shards_and_cpus(capsys, monkeypatch):
-    import rowsync.cli
+    import multiprocessing
 
-    monkeypatch.setattr(rowsync.cli, "Pool", PoolRecorder)
+    import rowsync.automaton
+
+    monkeypatch.setattr(multiprocessing, "Pool", PoolRecorder)
     monkeypatch.setattr(PoolRecorder, "sizes", [])
     code, out = run_main(["enum", "--n", "1", "--k", "1", "--jobs", "2", "--json"], capsys)
     assert code == 0
     assert json.loads(out)["report"]["total_tables"] == 1
     assert PoolRecorder.sizes == []
 
-    monkeypatch.setattr(rowsync.cli.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(rowsync.automaton.os, "cpu_count", lambda: 1)
     code, serial = run_main(["enum", "--n", "2", "--k", "2", "--jobs", "8", "--json"], capsys)
     assert PoolRecorder.sizes == []
 
-    monkeypatch.setattr(rowsync.cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(rowsync.automaton.os, "cpu_count", lambda: 2)
     code, parallel = run_main(["enum", "--n", "2", "--k", "2", "--jobs", "8", "--json"], capsys)
     assert PoolRecorder.sizes == [2]
     assert json.loads(parallel)["report"] == json.loads(serial)["report"]

@@ -180,6 +180,15 @@ def test_solution_families_pinned():
         "5272abebaaa5579d8ca5684a7471afe3862644c1c8695745d075149ef94fdc15")
 
 
+def test_is_solution_refuses_size_mismatch():
+    # multiply checks the sizes; is_solution raises its error unchanged, either way round.
+    three, two = RowMonomialMatrix(3, (0, 0, 0)), RowMonomialMatrix(2, (0, 0))
+    for m_u, sol, message in ((three, two, "size mismatch: 3 vs 2"), (two, three, "size mismatch: 2 vs 3")):
+        with pytest.raises(DomainError) as err:
+            is_solution(m_u, sol, 0)
+        assert str(err.value) == message
+
+
 def test_leq_q_is_column_subset_order():
     a = RowMonomialMatrix(3, (0, 1, 2))
     b = RowMonomialMatrix(3, (0, 0, 2))

@@ -1,6 +1,8 @@
 """The package declares `dependencies = []`, and its modules form layers; its imports must bear both out."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,3 +42,13 @@ def test_modules_import_only_lower_layers():
             continue
         for name in relative_imports(path):
             assert LAYER[name] < LAYER[path.stem], f"{path.stem} imports {name}"
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # A fresh interpreter, so that pytest's own imports do not count; only a
+    # parallel enum pass needs multiprocessing, which takes about 10 ms to import.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, rowsync, rowsync.cli; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import re
+
+import pytest
 
 import rowsync.suites
+from rowsync.equation import sink_matrix
 from rowsync.suites import (basis_dimension_suite, rank_monotonicity_suite, run_all,
                             sink_equation_suite, sum_conditions_suite)
 
@@ -72,3 +76,68 @@ def test_sink_equation_suite_checks_every_q(monkeypatch):
     result = sink_equation_suite(random_samples=20, seed=3)
     assert not result.ok and result.violations
     assert all(" q=0:" not in line for line in result.violations)
+
+
+def _fewer(enumerate_solutions):
+    def short(m_u, q=0, minimal=False):
+        return list(enumerate_solutions(m_u, q, minimal))[:-1]
+    return short
+
+
+def _doubled(express):
+    def doubled(*args):
+        coeffs = express(*args)
+        return None if coeffs is None else [2 * c for c in coeffs]
+    return doubled
+
+
+SMALL_RUNS = {rank_monotonicity_suite: {"samples": 60}, sum_conditions_suite: {"samples": 60},
+              basis_dimension_suite: {"max_n": 4, "samples": 20}, sink_equation_suite: {"random_samples": 20}}
+
+# (suite, name the suite calls, fault made from the original, a message of the
+# check the fault must trip).  Each violation branch of each suite is reached.
+SUITE_FAULTS = [
+    (rank_monotonicity_suite, "matrix_rank", lambda f: lambda m: f(m) + 1,
+     r"sample \d+ .*: elimination rank (\d+) != \d+$"),
+    (rank_monotonicity_suite, "multiply", lambda f: lambda a, b: f(b, a),
+     r": matrix of concatenation disagrees with product$"),
+    (rank_monotonicity_suite, "rank", lambda f: lambda m: m.n - f(m), r": appending letter raised rank$"),
+    (rank_monotonicity_suite, "nonzero_columns", lambda f: lambda m: frozenset(range(m.n)) - f(m),
+     r": prepending letter left the old column set$"),
+    (rank_monotonicity_suite, "is_permutation", lambda f: lambda m: True,
+     r": permutation letter changed rank on the right$"),
+    (rank_monotonicity_suite, "is_permutation", lambda f: lambda m: True,
+     r": permutation letter changed columns on the left$"),
+    (rank_monotonicity_suite, "is_permutation", lambda f: lambda m: True,
+     r": permutation letter changed column unit counts$"),
+    (rank_monotonicity_suite, "column_rows", lambda f: lambda m, c: f(m, (c + 1) % m.n),
+     r": product column \d+ is not the merge of source columns$"),
+    (sum_conditions_suite, "express", lambda f: lambda *args: None,
+     r": spanning family failed to express target$"),
+    (sum_conditions_suite, "express", _doubled, r": expressed combination does not reproduce target$"),
+    (sum_conditions_suite, "express", _doubled, r": coefficient sum 2 != 1"),
+    (basis_dimension_suite, "span_dimension", lambda f: lambda family: f(family) - 1,
+     r"^n=2, k=2: family size 3, rank 2, expected 3$"),
+    (basis_dimension_suite, "span_dimension", lambda f: lambda family: f(family) - 1,
+     r"^n=2, k=2: dropping member 0 did not lower rank by one$"),
+    (basis_dimension_suite, "span_dimension", lambda f: lambda family: f(family) - 1,
+     r"^n=1: full span dimension 0 != 1$"),
+    (basis_dimension_suite, "decompose_vij", _doubled, r"^n=2, k=2, t=\(0, 0\): coefficient sum 2 != 1"),
+    (sink_equation_suite, "enumerate_solutions", _fewer, r": found \d+ solutions, expected \d+$"),
+    (sink_equation_suite, "enumerate_solutions", _fewer, r": found \d+ minimal solutions, expected \d+$"),
+    (sink_equation_suite, "is_solution", lambda f: lambda m_u, s, q: False,
+     r": \d+ enumerated candidates fail the equation$"),
+    (sink_equation_suite, "minimal_solution", lambda f: lambda m_u, q: sink_matrix(m_u.n, q),
+     r": default minimal solution is not in the minimal family$"),
+    (sink_equation_suite, "leq_q", lambda f: lambda a, b, q: False,
+     r": minimal solution \(.*\) not below every solution$"),
+]
+
+
+@pytest.mark.parametrize("suite,name,fault,message", SUITE_FAULTS,
+                         ids=[f"{s.__name__}-{name}-{i}" for i, (s, name, _, _) in enumerate(SUITE_FAULTS)])
+def test_suite_reports_injected_fault(monkeypatch, suite, name, fault, message):
+    monkeypatch.setattr(rowsync.suites, name, fault(getattr(rowsync.suites, name)))
+    result = suite(**SMALL_RUNS[suite])
+    assert not result.ok and not result.to_json()["ok"]
+    assert any(re.search(message, line) for line in result.violations), result.violations[:3]
