@@ -98,17 +98,26 @@ def prefix_trace(dfa: Dfa, word: Sequence[int]) -> PrefixTrace:
     return _trace(dfa.n, w, prefixes, images)
 
 
-def maximum_matching(adjacency: Sequence[Sequence[int]], right_size: int) -> list[int | None]:
-    """Maximum bipartite matching, deterministic for fixed adjacency order.
+def maximum_matching(free_rows: Sequence[Sequence[int]], n: int, columns: int) -> list[int | None]:
+    """Maximum matching of left vertices to cells, deterministic for fixed input.
 
-    Standard Hopcroft-Karp: repeated breadth-first layering plus shortest
-    augmenting paths.  Returns, for each left vertex, its matched right
-    vertex or None.
+    Cell v is (row v % n, column block v // n), so there are n * columns
+    cells, numbered column-major.  Left vertex u may take every cell whose
+    row is in free_rows[u], and tries them block by block, in free_rows[u]'s
+    order within a block.  The relation is never listed: the breadth-first
+    layering reads, for each row, the left vertices matched into it, and
+    scans each row once per phase, since a later scan reaches no vertex
+    sooner.  Otherwise this is standard Hopcroft-Karp: repeated layering
+    plus augmenting paths along it.  Returns, for each left vertex, its
+    matched cell or None.  A phase that augments nothing is a bug in the
+    layering and raises RowsyncError.
     """
-    left_size = len(adjacency)
+    left_size = len(free_rows)
     match_left: list[int | None] = [None] * left_size
-    match_right: list[int | None] = [None] * right_size
-    unreachable = left_size + right_size + 1
+    match_right: list[int | None] = [None] * (n * columns)
+    partners: list[list[int]] = [[] for _ in range(n)]
+    starts = range(0, n * columns, n)
+    unreachable = left_size + n * columns + 1
     dist = [0] * left_size
 
     def bfs() -> bool:
@@ -119,32 +128,45 @@ def maximum_matching(adjacency: Sequence[Sequence[int]], right_size: int) -> lis
                 queue.append(u)
             else:
                 dist[u] = unreachable
+        scanned = [False] * n
         found = False
         while queue:
             u = queue.popleft()
-            for v in adjacency[u]:
-                w = match_right[v]
-                if w is None:
+            for r in free_rows[u]:
+                if scanned[r]:
+                    continue
+                scanned[r] = True
+                if len(partners[r]) < columns:
                     found = True
-                elif dist[w] == unreachable:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
+                for w in partners[r]:
+                    if dist[w] == unreachable:
+                        dist[w] = dist[u] + 1
+                        queue.append(w)
         return found
 
     def dfs(u: int) -> bool:
-        for v in adjacency[u]:
-            w = match_right[v]
-            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_left[u] = v
-                match_right[v] = u
-                return True
+        # dist[u] holds while u searches: a failed search marks only vertices deeper than u.
+        d = dist[u] + 1
+        for start in starts:
+            for r in free_rows[u]:
+                v = start + r
+                w = match_right[v]
+                if w is None or (dist[w] == d and dfs(w)):
+                    old = match_left[u]
+                    if old is not None:
+                        partners[old % n].remove(u)
+                    partners[r].append(u)
+                    match_left[u] = v
+                    match_right[v] = u
+                    return True
         dist[u] = unreachable
         return False
 
     while bfs():
-        for u in range(left_size):
-            if match_left[u] is None:
-                dfs(u)
+        if not any([dfs(u) for u in range(left_size) if match_left[u] is None]):
+            # A sound layering augments at least once in every phase it opens.
+            raise RowsyncError("maximum_matching's layering reached a free cell that no augmenting "
+                               "path reaches; the matching is wrong")
     return match_left
 
 
@@ -287,10 +309,12 @@ def allocation_probe(dfa: Dfa, word: Sequence[int], limit: int = EXACT_SEARCH_LI
     """Run the full allocation procedure for one synchronizing word.
 
     Steps: collect the prefixes whose matrix rank exceeds one (at most
-    n(n-2) of them), build the prefix/cell compatibility relation (a prefix
-    may own cell (r, c) when row r is free in its sink equation and c is a
-    distinctive column), compute an exact maximum matching, and on full
-    success construct one solution per prefix carrying its distinctive cell.
+    n(n-2) of them), list each one's free rows (the rows outside its image,
+    free in its sink equation), compute an exact maximum matching of the
+    prefixes to cells (r, c) with r a free row and c a distinctive column,
+    a relation that maximum_matching reads from the free rows without
+    listing it, and on full success construct one solution per prefix
+    carrying its distinctive cell.
 
     The matching's certificate: the matched cells are distinct, none lies
     in column q, and each cell's row lies outside its prefix's image; a
@@ -313,32 +337,27 @@ def allocation_probe(dfa: Dfa, word: Sequence[int], limit: int = EXACT_SEARCH_LI
     trace = _trace(n, w, prefixes, images)
     records = trace.records
 
-    # Cells are listed column-major, so cell (r, c) sits at index
-    # cell_columns.index(c) * n + r, and a prefix's cells come in that order.
+    # Cell v is (v % n, cell_columns[v // n]): column-major, as maximum_matching numbers them.
     cell_columns = _distinctive_columns(n, sink)
-    cells = [(r, c) for c in cell_columns for r in range(n)]
-    starts = range(0, len(cells), n)
+    cell_count = n * len(cell_columns)
     collected = [i for i, r in enumerate(records) if r.r_size > 1]
-    if len(collected) > len(cells):
-        notes.append(f"{len(collected)} prefixes with rank above one, keeping the first {len(cells)}")
-        collected = collected[:len(cells)]
+    if len(collected) > cell_count:
+        notes.append(f"{len(collected)} prefixes with rank above one, keeping the first {cell_count}")
+        collected = collected[:cell_count]
 
     # Image sizes never grow along the word, so in prefix order the prefixes
     # with larger images are offered to the matching first.
-    adjacency = []
-    for i in collected:
-        free = [r for r in range(n) if r not in images[i]]
-        adjacency.append([start + r for start in starts for r in free])
-    match_left = maximum_matching(adjacency, len(cells))
+    free_rows = [[r for r in range(n) if r not in images[i]] for i in collected]
+    match_left = maximum_matching(free_rows, n, len(cell_columns))
 
-    assigned = {i: cells[v] for i, v in zip(collected, match_left) if v is not None}
+    assigned = {i: (v % n, cell_columns[v // n]) for i, v in zip(collected, match_left) if v is not None}
     if (len(set(assigned.values())) < len(assigned)
             or any(c == sink or r in images[i] for i, (r, c) in assigned.items())):
         raise RowsyncError("maximum_matching assigned a shared cell, a cell in column q or a row "
                            "inside a prefix's image; the matching is wrong")
     assignments = tuple((records[i].length, *assigned[i]) if i in assigned else None for i in collected)
     unmatched = tuple(records[i].length for i in collected if i not in assigned)
-    matching = MatchingReport(cell_count=len(cells), cell_columns=cell_columns,
+    matching = MatchingReport(cell_count=cell_count, cell_columns=cell_columns,
                               assignments=assignments, unmatched_prefix_lengths=unmatched)
     solutions: tuple[RowMonomialMatrix, ...] = ()
     if matching.success:

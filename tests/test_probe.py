@@ -1,7 +1,10 @@
 """Allocation probe, prefix traces, matching, and bound verdicts."""
 
 import hashlib
+import itertools
 import json
+import random
+from collections import deque
 
 import pytest
 
@@ -55,20 +58,147 @@ def test_prefix_trace_monotone_on_random_automata():
 
 
 def test_maximum_matching_augments():
-    assert maximum_matching([[0, 1], [0]], 2) == [1, 0]
-    assert maximum_matching([[0], [0]], 2) == [0, None]
-    assert maximum_matching([], 3) == []
-    assert maximum_matching([[]], 2) == [None]
-    crowded = maximum_matching([[1], [0, 1], [0]], 2)
+    # With one column block, cell v is row v.
+    assert maximum_matching([[0, 1], [0]], 2, 1) == [1, 0]
+    assert maximum_matching([[0], [0]], 2, 1) == [0, None]
+    assert maximum_matching([], 3, 1) == []
+    assert maximum_matching([[]], 2, 1) == [None]
+    crowded = maximum_matching([[1], [0, 1], [0]], 2, 1)
     matched = [v for v in crowded if v is not None]
     assert len(matched) == 2 and len(set(matched)) == 2
+    # Cell v is (row v % n, block v // n), tried block by block: the second
+    # vertex takes row 1 in block 0, not row 0 in block 1.
+    assert maximum_matching([[0], [0, 1]], 2, 2) == [0, 1]
+    assert maximum_matching([[1], [1], [1]], 3, 2) == [1, 4, None]
+    # The third phase reaches row 3 through vertex 0, which the second moved
+    # from row 0 to row 2, so row 2, not row 0, must list it as a partner.
+    assert maximum_matching([[0, 2, 3], [1, 2], [0, 1], [0, 1]], 4, 1) == [3, 2, 0, 1]
 
 
 def test_maximum_matching_deterministic():
-    adjacency = [[0, 2], [0, 1], [1, 2], [2]]
-    first = maximum_matching(adjacency, 3)
-    assert first == maximum_matching(adjacency, 3)
+    free_rows = [[0, 2], [0, 1], [1, 2], [2]]
+    first = maximum_matching(free_rows, 3, 1)
+    assert first == maximum_matching(free_rows, 3, 1)
     assert sum(1 for v in first if v is not None) == 3
+    second = maximum_matching(free_rows, 3, 2)
+    assert second == maximum_matching(free_rows, 3, 2) == [0, 1, 2, 5]
+
+
+def listed_matching(adjacency, right_size):
+    """Hopcroft-Karp over an explicit adjacency list, the oracle for maximum_matching.
+
+    Repeated breadth-first layering over every listed edge, then augmenting
+    paths along the layers, each vertex trying its cells in listed order.
+    """
+    left_size = len(adjacency)
+    match_left = [None] * left_size
+    match_right = [None] * right_size
+    unreachable = left_size + right_size + 1
+    dist = [0] * left_size
+
+    def bfs():
+        queue = deque()
+        for u in range(left_size):
+            if match_left[u] is None:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = unreachable
+        found = False
+        while queue:
+            u = queue.popleft()
+            for v in adjacency[u]:
+                w = match_right[v]
+                if w is None:
+                    found = True
+                elif dist[w] == unreachable:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return found
+
+    def dfs(u):
+        for v in adjacency[u]:
+            w = match_right[v]
+            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
+                match_left[u] = v
+                match_right[v] = u
+                return True
+        dist[u] = unreachable
+        return False
+
+    while bfs():
+        for u in range(left_size):
+            if match_left[u] is None:
+                dfs(u)
+    return match_left
+
+
+def listed_cells(free_rows, n, columns):
+    """Each left vertex's cells, block by block, in its free rows' order."""
+    return [[start + r for start in range(0, n * columns, n) for r in free] for free in free_rows]
+
+
+def first_fit(free_rows, n, columns):
+    """Each left vertex in turn takes its first cell not taken yet."""
+    taken, out = set(), []
+    for cells in listed_cells(free_rows, n, columns):
+        v = next((v for v in cells if v not in taken), None)
+        taken.add(v)
+        out.append(v)
+    return out
+
+
+def probed_families(subjects, monkeypatch):
+    """The (free_rows, n, columns) that allocation_probe offers the matching."""
+    families = []
+
+    def recording(free_rows, n, columns):
+        families.append((free_rows, n, columns))
+        return maximum_matching(free_rows, n, columns)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rowsync.probe, "maximum_matching", recording)
+        for dfa, word in subjects:
+            allocation_probe(dfa, word)
+    return families
+
+
+def synthetic_families():
+    # Every family of four vertices over four rows, each with two or three
+    # free rows: 3,567 of the 10,000 need augmenting paths.
+    subsets = [list(s) for k in (2, 3) for s in itertools.combinations(range(4), k)]
+    for free_rows in itertools.product(subsets, repeat=4):
+        yield list(free_rows), 4, 1
+    rng = random.Random(28)
+    for n in range(2, 10):
+        for columns in range(1, n + 1):
+            for left in range(n * columns + 4):
+                # The row density varies, so some families are crowded and some sparse.
+                p = rng.random()
+                yield [[r for r in range(n) if rng.random() < p] for _ in range(left)], n, columns
+
+
+def test_maximum_matching_against_listed_oracle(monkeypatch):
+    subjects = []
+    for n in range(2, 25):
+        dfa = cerny_automaton(n)
+        subjects.append((dfa, shortest_reset_word(dfa)))
+    seed = 0
+    while len(subjects) < 23 + 100:
+        dfa = random_dfa(13 + seed % 12, 2 + seed // 12 % 2, seed=seed)
+        seed += 1
+        word = shortest_reset_word(dfa)
+        if word is not None:
+            subjects.append((dfa, word))
+    probed = probed_families(subjects, monkeypatch)
+    assert len(probed) == len(subjects)
+    assert max(len(free_rows) for free_rows, _, _ in probed) == 24 * 22
+    augmented = 0
+    for free_rows, n, columns in [*probed, *synthetic_families()]:
+        expected = listed_matching(listed_cells(free_rows, n, columns), n * columns)
+        assert maximum_matching(free_rows, n, columns) == expected, (free_rows, n, columns)
+        augmented += expected != first_fit(free_rows, n, columns)
+    assert augmented > 0
 
 
 def test_allocation_probe_cerny3_frozen():
@@ -184,7 +314,6 @@ def test_probe_with_greedy_word_on_larger_cerny():
 
 
 def test_probe_all_synchronizing_three_state():
-    import itertools
     full = ok = 0
     for table in itertools.product(range(3), repeat=6):
         dfa = Dfa(3, 2, (table[:3], table[3:]))
@@ -344,16 +473,16 @@ def test_probe_raises_on_a_broken_matching(monkeypatch, tmp_path, capsys):
     c4 = cerny_automaton(4)
     word = shortest_reset_word(c4)
 
-    def shared_cell(adjacency, right_size):
-        # Two prefixes that may both own cell v, given v; the rest unmatched.
-        u, w, v = next((u, w, v) for u in range(len(adjacency)) for w in range(u)
-                       for v in adjacency[u] if v in adjacency[w])
-        return [v if x in (u, w) else None for x in range(len(adjacency))]
+    def shared_cell(free_rows, n, columns):
+        # Two prefixes that may both own the row-r cell of block 0; the rest unmatched.
+        u, w, r = next((u, w, r) for u in range(len(free_rows)) for w in range(u)
+                       for r in free_rows[u] if r in free_rows[w])
+        return [r if x in (u, w) else None for x in range(len(free_rows))]
 
-    def cell_inside_image(adjacency, right_size):
-        # Cells outside a prefix's adjacency have their row inside its image.
-        barred = next(v for v in range(right_size) if v not in adjacency[0])
-        return [barred] + [None] * (len(adjacency) - 1)
+    def cell_inside_image(free_rows, n, columns):
+        # A row outside a prefix's free rows lies inside its image.
+        barred = next(r for r in range(n) if r not in free_rows[0])
+        return [barred] + [None] * (len(free_rows) - 1)
 
     path = tmp_path / "c4.txt"
     write_dfa(c4, str(path))
@@ -366,6 +495,19 @@ def test_probe_raises_on_a_broken_matching(monkeypatch, tmp_path, capsys):
         assert captured.out == ""
         assert "rowsync: error: maximum_matching assigned" in captured.err
         assert "the matching is wrong" in captured.err
+
+
+def test_probe_matches_more_prefixes_than_the_recursion_limit():
+    # b(a^33 b)^32 is C_34's shortest word, 33^2 letters; 34 states are above
+    # the exact-search limit.  Its 1,088 prefixes of rank above one, more than
+    # Python's default recursion limit of 1,000, fill all 34 * 32 cells.
+    c34 = cerny_automaton(34)
+    word = (1,) + ((0,) * 33 + (1,)) * 32
+    rep = allocation_probe(c34, word)
+    assert len(word) == 1089
+    assert rep.matching.prefix_count == rep.matching.cell_count == 1088
+    assert rep.matching.success and len(rep.solutions) == 1088
+    assert rep.bound.status == "skipped-capacity"
 
 
 def pinned_probe_subjects():

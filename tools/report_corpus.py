@@ -39,6 +39,8 @@ def write_inputs(directory: Path) -> list[str]:
     automata["collapse25.txt"] = Dfa(25, 1, (tuple([0] * 25),))
     for name, dfa in automata.items():
         write_dfa(dfa, directory / name)
+    # Above the exact-search limit, so probed only with its closed-form word.
+    write_dfa(cerny_automaton(34), directory / "cerny34.txt")
     return list(automata)
 
 
@@ -58,6 +60,8 @@ def corpus(names: list[str]) -> list[list[str]]:
             ["probe", "cerny04.txt", "--word", "baaabaaab", "--q", "1", *json_flag],
             ["probe", "cerny05.txt", "--word", "ab", *json_flag],
             ["probe", "collapse25.txt", "--word", "a", *json_flag],
+            # C_34's shortest word b(a^33 b)^32 offers 1,088 prefixes to the matching.
+            ["probe", "cerny34.txt", "--word", "b" + ("a" * 33 + "b") * 32, *json_flag],
             ["trace", "cerny06.txt", "--word", "abaaaaabaaaaabaaaaabaaaaab", *json_flag],
             ["matrix", "cerny04.txt", *json_flag],
             ["matrix", "cerny04.txt", "--word", "baaab", *json_flag],
