@@ -27,7 +27,7 @@ import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import (accumulate, chain, combinations, combinations_with_replacement, compress, permutations,
+from itertools import (accumulate, chain, combinations_with_replacement, compress, permutations,
                        product, repeat)
 from math import factorial, prod
 from operator import add, or_
@@ -318,66 +318,73 @@ def shortest_reset_length(dfa: Dfa, limit: int = EXACT_SEARCH_LIMIT) -> int | No
     return None if word is None else len(word)
 
 
-def _pair_merge_table(dfa: Dfa) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
-    """Shortest-merge data for every unordered state pair.
+def _pair_merge_table(dfa: Dfa) -> tuple[list[int], list[int], int]:
+    """Shortest-merge data for every state pair p < q, at flat index p*n + q.
 
-    Returns (dist, letter) keyed by (p, q) with p < q: dist is the length of
-    a shortest word sending both states to one state, letter a first letter
-    of such a word.  Pairs that cannot merge are absent from both maps.
+    Returns (dist, letter, merged): the length of a shortest word sending
+    both states to one state and a first letter of such a word, both 0 where
+    no word merges the pair, and the number of pairs that merge.  rev lists
+    pair*k + a pair-major with letters ascending, and the BFS reads it in
+    that order, which fixes letter.
     """
-    dist: dict[tuple[int, int], int] = {}
-    letter: dict[tuple[int, int], int] = {}
-    rev: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {}
-    queue: list[tuple[int, int]] = []  # the BFS below reads the pairs it appends
-    for pair in combinations(range(dfa.n), 2):
-        p, q = pair
-        for a, row in enumerate(dfa.delta):
-            pa, qa = row[p], row[q]
-            if pa == qa:
-                if pair not in dist:
-                    dist[pair] = 1
-                    letter[pair] = a
-                    queue.append(pair)
-            else:
-                tgt = (pa, qa) if pa < qa else (qa, pa)
-                if tgt != pair:
-                    rev.setdefault(tgt, []).append((pair, a))
+    n, k = dfa.n, dfa.k
+    dist, letter = [0] * (n * n), [0] * (n * n)
+    rev: list[list[int]] = [[] for _ in range(n * n)]
+    queue: list[int] = []  # the BFS below reads the pairs it appends
+    for p in range(n):
+        for q in range(p + 1, n):
+            pair = p * n + q
+            code = pair * k
+            for row in dfa.delta:
+                pa, qa = row[p], row[q]
+                if pa == qa:
+                    if not dist[pair]:
+                        dist[pair], letter[pair] = 1, code - pair * k
+                        queue.append(pair)
+                elif (tgt := pa * n + qa if pa < qa else qa * n + pa) != pair:
+                    rev[tgt].append(code)
+                code += 1
     for cur in queue:
         d = dist[cur] + 1
-        for src, a in rev.get(cur, ()):
-            if src not in dist:
-                dist[src] = d
-                letter[src] = a
+        for code in rev[cur]:
+            src = code // k
+            if not dist[src]:
+                dist[src], letter[src] = d, code - src * k
                 queue.append(src)
-    return dist, letter
+    return dist, letter, len(queue)
 
 
 def is_synchronizing(dfa: Dfa) -> bool:
     """Polynomial test: the automaton synchronizes iff every state pair merges."""
-    dist, _ = _pair_merge_table(dfa)
-    return len(dist) == dfa.n * (dfa.n - 1) // 2
+    return _pair_merge_table(dfa)[2] == dfa.n * (dfa.n - 1) // 2
 
 
 def greedy_reset_word(dfa: Dfa) -> Word | None:
     """Pair-merging heuristic reset word, or None if not synchronizing.
 
-    Repeatedly drives the least cheapest-to-merge pair of current states to
-    a collision.  Deterministic and polynomial, but in general longer than
-    the word shortest_reset_word returns.
+    Repeatedly drives the first, in (p, q) order, of the cheapest-to-merge
+    pairs of current states to a collision.  Deterministic and polynomial,
+    but in general longer than the word shortest_reset_word returns.
     """
     n = dfa.n
-    dist, letter = _pair_merge_table(dfa)
-    if len(dist) < n * (n - 1) // 2:
+    dist, letter, merged = _pair_merge_table(dfa)
+    if merged < n * (n - 1) // 2:
         return None
-    current = frozenset(range(n))
+    current = set(range(n))
     out: list[int] = []
     while len(current) > 1:
-        p, q = min(combinations(sorted(current), 2), key=dist.__getitem__)
+        states = sorted(current)
+        best = n * n
+        for i, s in enumerate(states):
+            base = s * n
+            for t in states[i + 1:]:
+                if dist[base + t] < best:
+                    best, p, q = dist[base + t], s, t
         while p != q:
-            a = letter[(p, q) if p < q else (q, p)]
+            a = letter[p * n + q if p < q else q * n + p]
             out.append(a)
             row = dfa.delta[a]
-            current = frozenset(row[s] for s in current)
+            current = {row[s] for s in current}
             p, q = row[p], row[q]
     return tuple(out)
 

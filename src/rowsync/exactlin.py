@@ -50,30 +50,6 @@ def units(m: RowMonomialMatrix) -> Row:
     return {i * n + t: 1 for i, t in enumerate(m.targets)}
 
 
-def _eliminate(v: Row, row: Row, pivot: int) -> Row:
-    """Clear v[pivot] against row (nonzero there) by cross-multiplying.
-
-    v is consumed.  Only when row's leading entry, at pivot, is not 1 is v
-    scaled by it, and the result then divided by its gcd; the sign is left
-    to _store.
-    """
-    c = v[pivot]
-    lead = row[pivot]
-    if lead != 1:
-        v = {p: a * lead for p, a in v.items()}
-    for p, b in row.items():
-        x = v.get(p, 0) - b * c
-        if x:
-            v[p] = x
-        else:
-            del v[p]
-    if lead != 1:
-        g = gcd(*v.values())
-        if g > 1:
-            v = {p: x // g for p, x in v.items()}
-    return v
-
-
 class RationalBasis:
     """Incrementally maintained exact basis of integer vectors.
 
@@ -101,16 +77,32 @@ class RationalBasis:
             low, high = min(row), max(row)
             if low < 0 or high >= self.ambient:
                 raise DomainError(f"position {low if low < 0 else high} outside [0, {self.ambient})")
-        return self._reduce({p: x for p, x in row.items() if x})
+        return self._reduce({p: x for p, x in row.items() if x} if 0 in row.values() else dict(row))
 
     def _reduce(self, v: Row) -> Row:
-        """Sparse v less its components along the stored rows, in pivot order."""
+        """Sparse v, consumed, less its components along the stored rows.
+
+        One inline elimination step per pivot that v holds, in pivot order.
+        """
         rows = self._rows
         for pivot in self._pivots:
             if not v:
                 break
             if pivot in v:
-                v = _eliminate(v, rows[pivot], pivot)
+                row = rows[pivot]
+                c, lead = v[pivot], row[pivot]
+                if lead != 1:
+                    v = {p: a * lead for p, a in v.items()}
+                for p, b in row.items():
+                    x = v.get(p, 0) - b * c
+                    if x:
+                        v[p] = x
+                    else:
+                        del v[p]
+                if lead != 1:
+                    g = gcd(*v.values())
+                    if g > 1:
+                        v = {p: x // g for p, x in v.items()}
         return v
 
     def _store(self, residue: Row) -> None:

@@ -443,13 +443,76 @@ def pair_table_inputs():
     return cases
 
 
+def dict_pair_merge_table(dfa):
+    """The pair table as it was kept before flat indices: (dist, letter) keyed
+    by (p, q) tuples in dicts, with rev as lists of ((p, q), a).  The flat
+    table must reproduce both, every first letter included."""
+    dist, letter, rev, queue = {}, {}, {}, []
+    for pair in combinations(range(dfa.n), 2):
+        p, q = pair
+        for a, row in enumerate(dfa.delta):
+            pa, qa = row[p], row[q]
+            if pa == qa:
+                if pair not in dist:
+                    dist[pair] = 1
+                    letter[pair] = a
+                    queue.append(pair)
+            else:
+                tgt = (pa, qa) if pa < qa else (qa, pa)
+                if tgt != pair:
+                    rev.setdefault(tgt, []).append((pair, a))
+    for cur in queue:
+        d = dist[cur] + 1
+        for src, a in rev.get(cur, ()):
+            if src not in dist:
+                dist[src] = d
+                letter[src] = a
+                queue.append(src)
+    return dist, letter
+
+
+def dict_greedy_word(dfa):
+    """The greedy word read from dict_pair_merge_table: each round takes the
+    least pair by min over combinations, the first one on ties."""
+    dist, letter = dict_pair_merge_table(dfa)
+    if len(dist) < dfa.n * (dfa.n - 1) // 2:
+        return None
+    current, out = frozenset(range(dfa.n)), []
+    while len(current) > 1:
+        p, q = min(combinations(sorted(current), 2), key=dist.__getitem__)
+        while p != q:
+            a = letter[(p, q) if p < q else (q, p)]
+            out.append(a)
+            current = frozenset(dfa.delta[a][s] for s in current)
+            p, q = dfa.delta[a][p], dfa.delta[a][q]
+    return tuple(out)
+
+
+def pair_maps(dfa):
+    """The flat table read back as (dist, letter) maps keyed by (p, q) over
+    the pairs that merge, and its merged count."""
+    dist, letter, merged = rowsync.automaton._pair_merge_table(dfa)
+    n = dfa.n
+    flat = {(p, q): p * n + q for p, q in combinations(range(n), 2) if dist[p * n + q]}
+    return {pq: dist[i] for pq, i in flat.items()}, {pq: letter[i] for pq, i in flat.items()}, merged
+
+
+def test_flat_pair_table_against_dict_table():
+    # pair_table_inputs() holds C_2..C_24 among its cases.
+    for d in pair_table_inputs():
+        dist, letter, merged = pair_maps(d)
+        assert (dist, letter) == dict_pair_merge_table(d), d.delta
+        assert merged == len(dist)
+        assert greedy_reset_word(d) == dict_greedy_word(d), d.delta
+
+
 def test_pair_table_and_greedy_words_pinned():
     # sha256 over every input's sorted distances, sorted first letters and
     # greedy word.  A change to a tie-break or a letter choice changes it,
     # where the pinned check reports would see only some.
     digest = hashlib.sha256()
     for d in pair_table_inputs():
-        dist, letter = rowsync.automaton._pair_merge_table(d)
+        dist, letter, _ = pair_maps(d)
         digest.update(repr((sorted(dist.items()), sorted(letter.items()), greedy_reset_word(d))).encode())
     assert digest.hexdigest() == "1df6a9c35e97379087ea4ae6c2aa41f504c85f1000e5d3a52194cb83e63a7a9b"
 
@@ -474,7 +537,7 @@ def pair_merge_oracle(dfa):
 def test_pair_table_against_pair_bfs():
     unmerged = 0
     for d in pair_table_inputs():
-        dist, letter = rowsync.automaton._pair_merge_table(d)
+        dist, letter, _ = pair_maps(d)
         assert dist == pair_merge_oracle(d), d.delta
         assert letter.keys() == dist.keys(), d.delta
         # The letter starts a shortest merging word: it merges the pair or

@@ -2,12 +2,15 @@
 
 The package's fraction-free elimination is cross-checked against plain
 Fraction-based Gaussian eliminations written here, so the two routes share
-no code.
+no code.  Its inline reduction is also checked, residue by residue, against
+the same integer steps run one function call each.
 """
 
 import random
 from fractions import Fraction
 from math import gcd
+
+from rowsync.automaton import cerny_automaton, random_dfa, shortest_reset_word
 
 import pytest
 from hypothesis import given, settings
@@ -322,7 +325,7 @@ def test_express_size_mismatch(monkeypatch):
     def no_elimination(*args):
         raise AssertionError("eliminated before the length check")
 
-    monkeypatch.setattr("rowsync.exactlin._eliminate", no_elimination)
+    monkeypatch.setattr(RationalBasis, "_reduce", no_elimination)
     for columns in ([(1, 0, 0), (1, 0)], [(1, 0, 0), (1, 0, 0), (1, 0)]):
         with pytest.raises(DomainError, match="column length 2 does not match target length 3"):
             express_vectors((1, 0, 0), columns)
@@ -511,3 +514,113 @@ def test_sparse_basis_against_oracle(case):
         before = want
     assert all(basis.contains(sparse(row)) for row in rows)
     assert_rows_normalized(basis)
+
+
+def call_eliminate(v, row, pivot):
+    """One elimination step as a function of its own: the kernel as it stood
+    before RationalBasis._reduce ran its steps inline."""
+    c = v[pivot]
+    lead = row[pivot]
+    if lead != 1:
+        v = {p: a * lead for p, a in v.items()}
+    for p, b in row.items():
+        x = v.get(p, 0) - b * c
+        if x:
+            v[p] = x
+        else:
+            del v[p]
+    if lead != 1:
+        g = gcd(*v.values())
+        if g > 1:
+            v = {p: x // g for p, x in v.items()}
+    return v
+
+
+def call_reduce(basis, v):
+    """basis's reduction of v, one call_eliminate per pivot v holds."""
+    for pivot in basis._pivots:
+        if not v:
+            break
+        if pivot in v:
+            v = call_eliminate(v, basis._rows[pivot], pivot)
+    return v
+
+
+class CallBasis(RationalBasis):
+    """A RationalBasis whose every reduction goes through call_reduce."""
+
+    def _reduce(self, v):
+        return call_reduce(self, v)
+
+
+def assert_same_echelon(rows, ambient):
+    """Inserting rows gives the same residues, insert results, pivots and
+    stored rows in RationalBasis as in CallBasis."""
+    basis, oracle = RationalBasis(ambient), CallBasis(ambient)
+    for row in rows:
+        assert basis._residue(row) == call_reduce(oracle, {p: x for p, x in row.items() if x}), row
+        assert basis.insert(row) == oracle.insert(row), row
+        assert basis._pivots == oracle._pivots
+    assert basis._rows == oracle._rows
+    return basis.dimension
+
+
+def prefix_rows(dfa, word):
+    """The unit rows of the prefix matrices of word, shortest first."""
+    targets, rows = range(dfa.n), []
+    for a in word:
+        targets = [dfa.delta[a][t] for t in targets]
+        rows.append({r * dfa.n + t: 1 for r, t in enumerate(targets)})
+    return rows
+
+
+def test_inline_reduce_against_call_reduce_on_prefix_families():
+    rng = random.Random(29)
+    dfas = [*map(cerny_automaton, range(2, 25))]
+    dfas += [random_dfa(n, k, seed=100 * n + k) for n in range(13, 25) for k in (2, 3)]
+    grown = 0
+    for dfa in dfas:
+        word = shortest_reset_word(dfa) or [rng.randrange(dfa.k) for _ in range(3 * dfa.n)]
+        grown += assert_same_echelon(prefix_rows(dfa, word), dfa.n * dfa.n)
+    assert grown > 0
+
+
+def test_inline_reduce_against_call_reduce_on_integer_rows():
+    # Leads other than 1 and negative leads, explicit zeros and empty rows.
+    rng = random.Random(2029)
+    for _ in range(300):
+        width = rng.randint(1, 12)
+        rows = []
+        for _ in range(rng.randint(1, 2 * width)):
+            size = rng.randint(0, width)
+            rows.append({p: rng.choice((-6, -4, -3, -2, -1, 0, 1, 2, 3, 4, 6, 9))
+                         for p in rng.sample(range(width), size)})
+        assert_same_echelon(rows, width)
+
+
+def test_express_vectors_reductions_against_call_reduce(monkeypatch):
+    inline = RationalBasis._reduce
+    checked = []
+
+    def shadow(self, v):
+        want = call_reduce(self, dict(v))
+        got = inline(self, v)
+        assert got == want
+        checked.append(got)
+        return want
+
+    rng = random.Random(4029)
+    cases = []
+    for _ in range(300):
+        height, m = rng.randint(1, 7), rng.randint(0, 6)
+        columns = [[rng.randint(-3, 3) for _ in range(height)] for _ in range(m)]
+        if columns and rng.random() < 0.5:
+            target = [sum(rng.randint(-2, 2) * col[r] for col in columns) for r in range(height)]
+        else:
+            target = [rng.randint(-3, 3) for _ in range(height)]
+        cases.append((target, columns))
+    want = [express_vectors(t, cols) for t, cols in cases]
+    monkeypatch.setattr(RationalBasis, "_reduce", shadow)
+    assert [express_vectors(t, cols) for t, cols in cases] == want
+    assert len(checked) == sum(len(cols) + 1 for _, cols in cases)
+    assert any(x is not None for x in want) and any(x is None for x in want)

@@ -41,6 +41,10 @@ def write_inputs(directory: Path) -> list[str]:
         write_dfa(dfa, directory / name)
     # Above the exact-search limit, so probed only with its closed-form word.
     write_dfa(cerny_automaton(34), directory / "cerny34.txt")
+    # Three letters on 23 and 24 states: the largest pair tables in the corpus.
+    for n in (23, 24):
+        for seed in (0, 1):
+            write_dfa(random_dfa(n, 3, seed=seed), directory / f"pairs{n}_{seed}.txt")
     return list(automata)
 
 
@@ -68,6 +72,8 @@ def corpus(names: list[str]) -> list[list[str]]:
             ["matrix", "random07.txt", "--word", "1,0,1", *json_flag],
             ["lemmas", *json_flag],
         ]
+        runs += [[verb, f"pairs{n}_{seed}.txt", *json_flag]
+                 for verb in ("check", "probe") for n in (23, 24) for seed in (0, 1)]
     runs += [["matrix", "cerny04.txt", "--dot", "--json"], ["matrix", "cerny04.txt", "--dot", "--word", "ab"]]
     for n in range(1, 4):
         for k in range(1, 4):
