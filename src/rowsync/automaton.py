@@ -9,10 +9,12 @@ over the images of the full set and, once a forward level holds more than
 singletons, favouring the forward side 16 to 1: on typical random automata
 the backward side alone visits about 1.4 times the sets, but on the Cerny
 automata it reaches the full set after about n^2 sets where the forward side
-visits nearly all 2^n.  Both sides give the lexicographically least shortest
-reset word.  The polynomial synchronization test and the greedy heuristic
-work on the pair automaton instead, so they stay usable where the exact
-search does not.
+visits nearly all 2^n.  The search answers the shortest reset length by
+counting levels; only a caller that asks for the word has the
+lexicographically least shortest reset word rebuilt, the same from either
+side, so the enum walker reads lengths alone.  The polynomial
+synchronization test and the greedy heuristic work on the pair automaton
+instead, so they stay usable where the exact search does not.
 The enum walker lists the tables up to state relabelling and letter
 permutation by flooding orbits of map indices along the index permutations of
 a few relabellings.  It keeps maps as indices and decodes rows only to build
@@ -182,8 +184,13 @@ def _check_search_limit(n: int, limit: int) -> None:
                             "raise the limit or fall back to greedy_reset_word")
 
 
-def _search(n: int, k: int, tables) -> Word | None:
-    """The exact search of an n-state, k-letter automaton, read from its chunk tables alone.
+def _search(n: int, k: int, tables, word: list[int] | None = None) -> int | None:
+    """The shortest reset length of an n-state, k-letter automaton, read from its chunk tables alone.
+
+    Returns None if the automaton is not synchronizing.  The least shortest
+    reset word is rebuilt only when word is given, an empty list that the
+    word's letters are written into; callers that need the length alone pass
+    none, and no word is built for them.
 
     Subsets are bitmasks.  The states are cut into three chunks of
     w = ceil(n/3) states, and each chunk has one table mapping every subset
@@ -201,6 +208,8 @@ def _search(n: int, k: int, tables) -> Word | None:
     while the forward level is more than _RACE times the newest backward
     level, else the forward level.  Whichever side finishes first answers,
     and if either runs out of new sets the automaton is not synchronizing.
+    A singleton found while building forward level d answers d, and the
+    full set reached at backward level d answers d.
 
     A singleton found forward is read back along the parent links.  The
     search reached each subset first from its parent under the least letter
@@ -213,10 +222,10 @@ def _search(n: int, k: int, tables) -> Word | None:
     the backward BFS reached, and no earlier than level d-1-t, or a reset
     word shorter than d would exist.  So the walk takes the least letter
     that still leads to a reset word of length d, at every step, and
-    returns the least shortest reset word, the one the forward side gives.
+    writes the least shortest reset word, the one the forward side gives.
     """
     if n == 1:
-        return ()
+        return 0
     w = _chunk_width(n)
     t0, t1, t2 = tables
     mask = (1 << w) - 1
@@ -225,6 +234,7 @@ def _search(n: int, k: int, tables) -> Word | None:
     shifts = range(0, k * n, n)
     parent: dict[int, int | None] = {full: None}
     level = [full]
+    depth = 0
     # The backward levels, once the race has begun; level 0 is the n singletons.
     back: list[list[int]] = []
     cap = _RACE * n
@@ -250,22 +260,23 @@ def _search(n: int, k: int, tables) -> Word | None:
                         if nxt in seen:
                             continue
                         if nxt == full:
-                            word = []
-                            node = full
-                            for targets in reversed(back):
-                                images = t0[node & mask] | t1[node >> w & mask] | t2[node >> w2]
-                                for s in shifts:
-                                    node = images >> s & full
-                                    if any(node & b == node for b in targets):
-                                        break
-                                word.append(s // n)
-                            return tuple(word)
+                            if word is not None:
+                                node = full
+                                for targets in reversed(back):
+                                    images = t0[node & mask] | t1[node >> w & mask] | t2[node >> w2]
+                                    for s in shifts:
+                                        node = images >> s & full
+                                        if any(node & b == node for b in targets):
+                                            break
+                                    word.append(s // n)
+                            return len(back)
                         seen.add(nxt)
                         push(nxt)
                 if not frontier:
                     return None
                 back.append(frontier)
                 cap = _RACE * len(frontier)
+        depth += 1
         frontier = []
         push = frontier.append
         for cur in level:
@@ -276,26 +287,27 @@ def _search(n: int, k: int, tables) -> Word | None:
                     continue
                 parent[nxt] = cur
                 if nxt & (nxt - 1) == 0:
-                    word = [s // n]
-                    node = cur
-                    while (prev := parent[node]) is not None:
-                        images = t0[prev & mask] | t1[prev >> w & mask] | t2[prev >> w2]
-                        letter = 0
-                        while images >> letter * n & full != node:
-                            letter += 1
-                        word.append(letter)
-                        node = prev
-                    word.reverse()
-                    return tuple(word)
+                    if word is not None:
+                        word.append(s // n)
+                        node = cur
+                        while (prev := parent[node]) is not None:
+                            images = t0[prev & mask] | t1[prev >> w & mask] | t2[prev >> w2]
+                            letter = 0
+                            while images >> letter * n & full != node:
+                                letter += 1
+                            word.append(letter)
+                            node = prev
+                        word.reverse()
+                    return depth
                 push(nxt)
         level = frontier
     return None
 
 
-def _dfa_search(dfa: Dfa, limit: int) -> Word | None:
+def _dfa_search(dfa: Dfa, limit: int, word: list[int] | None = None) -> int | None:
     """_search on a Dfa, whose tables are built only once the limit check has passed."""
     _check_search_limit(dfa.n, limit)
-    return _search(dfa.n, dfa.k, _chunk_tables(_successor_masks(dfa.delta, 0), _chunk_width(dfa.n)))
+    return _search(dfa.n, dfa.k, _chunk_tables(_successor_masks(dfa.delta, 0), _chunk_width(dfa.n)), word)
 
 
 def shortest_reset_word(dfa: Dfa, limit: int = EXACT_SEARCH_LIMIT) -> Word | None:
@@ -309,13 +321,16 @@ def shortest_reset_word(dfa: Dfa, limit: int = EXACT_SEARCH_LIMIT) -> Word | Non
     least among all shortest reset words, and the backward side's word walk
     picks that same word.
     """
-    return _dfa_search(dfa, limit)
+    word: list[int] = []
+    return None if _dfa_search(dfa, limit, word) is None else tuple(word)
 
 
 def shortest_reset_length(dfa: Dfa, limit: int = EXACT_SEARCH_LIMIT) -> int | None:
-    """Length of the shortest reset word, or None if the automaton is not synchronizing."""
-    word = _dfa_search(dfa, limit)
-    return None if word is None else len(word)
+    """Length of the shortest reset word, or None if the automaton is not synchronizing.
+
+    The same search as shortest_reset_word; it counts BFS levels and rebuilds no word.
+    """
+    return _dfa_search(dfa, limit)
 
 
 def _pair_merge_table(dfa: Dfa) -> tuple[list[int], list[int], int]:
@@ -630,9 +645,9 @@ def _enum_shard_stats(params: tuple) -> dict:
         f = classes[c][0]
         if k == 1:
             covered += weight
-            word = _search(n, 1, _chunk_tables(_successor_masks((f,), 0), w))
-            if word is not None:
-                hist[len(word)] += weight
+            length = _search(n, 1, _chunk_tables(_successor_masks((f,), 0), w))
+            if length is not None:
+                hist[length] += weight
             continue
         d = class_id[j]
         if k == 2:
@@ -642,9 +657,9 @@ def _enum_shard_stats(params: tuple) -> dict:
                 a0, a1, a2 = hold(_chunk_tables(_successor_masks((f,), 1), w))
             table_weight = weight if d == c else 2 * weight
             covered += table_weight
-            word = _search(n, 2, (a0[j // m12], a1[j // m2 % m1], a2[j % m2]))
-            if word is not None:
-                hist[len(word)] += table_weight
+            length = _search(n, 2, (a0[j // m12], a1[j // m2 % m1], a2[j % m2]))
+            if length is not None:
+                hist[length] += table_weight
             continue
         if (shapes := tails.get((c, d))) is None:
             shapes = tails[c, d] = [
@@ -662,9 +677,9 @@ def _enum_shard_stats(params: tuple) -> dict:
                 a0, a1, a2 = hold(_chunk_tables(_successor_masks(letters, 1), w))
             covered += table_weight * len(lasts)
             for i in lasts:
-                word = _search(n, k, (a0[i // m12], a1[i // m2 % m1], a2[i % m2]))
-                if word is not None:
-                    hist[len(word)] += table_weight
+                length = _search(n, k, (a0[i // m12], a1[i // m2 % m1], a2[i % m2]))
+                if length is not None:
+                    hist[length] += table_weight
     return {"hist": hist, "weight": covered}
 
 

@@ -335,9 +335,12 @@ def test_backward_side_alone_and_interleaved(monkeypatch):
     cases += [random_dfa(8, k, seed) for k in (1, 2, 3) for seed in range(20)]
     cases += [two_component_dfa(8, 2, seed) for seed in range(3)]
     expected = [frozenset_bfs_shortest(d) for d in cases]
+    lengths = [None if word is None else len(word) for word in expected]
     for race in (0, 1, 2):
         monkeypatch.setattr(rowsync.automaton, "_RACE", race)
         assert [shortest_reset_word(d) for d in cases] == expected, race
+        # The length is counted apart from the word, on each side.
+        assert [shortest_reset_length(d) for d in cases] == lengths, race
 
 
 def test_backward_side_on_enum_tables(monkeypatch):
@@ -411,7 +414,12 @@ def test_enum_combined_tables_equal_built_tables(n):
             j = sum(t * n ** (n - 1 - i) for i, t in enumerate(first))
             tables = (a0[j // (m1 * m2)], a1[j // m2 % m1], a2[j % m2])
             assert tables == automaton._chunk_tables(automaton._successor_masks(delta, 0), w), delta
-            assert automaton._search(n, k, tables) == shortest_reset_word(Dfa(n, k, delta), n), delta
+            expected = shortest_reset_word(Dfa(n, k, delta), n)
+            word = []
+            length = automaton._search(n, k, tables, word)
+            assert length == (None if expected is None else len(expected)), delta
+            assert (None if length is None else tuple(word)) == expected, delta
+            assert automaton._search(n, k, tables) == length, delta
 
 
 def test_greedy_reset_word():

@@ -66,6 +66,9 @@ def corpus(names: list[str]) -> list[list[str]]:
             ["probe", "collapse25.txt", "--word", "a", *json_flag],
             # C_34's shortest word b(a^33 b)^32 offers 1,088 prefixes to the matching.
             ["probe", "cerny34.txt", "--word", "b" + ("a" * 33 + "b") * 32, *json_flag],
+            # The bound check's length on C_14 and C_20 comes from the backward side.
+            ["probe", "cerny14.txt", "--word", "b" + ("a" * 13 + "b") * 12, *json_flag],
+            ["probe", "cerny20.txt", "--word", "b" + ("a" * 19 + "b") * 18, *json_flag],
             ["trace", "cerny06.txt", "--word", "abaaaaabaaaaabaaaaabaaaaab", *json_flag],
             ["matrix", "cerny04.txt", *json_flag],
             ["matrix", "cerny04.txt", "--word", "baaab", *json_flag],
