@@ -29,7 +29,7 @@ import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import (accumulate, chain, combinations_with_replacement, compress, permutations,
+from itertools import (chain, combinations_with_replacement, compress, permutations,
                        product, repeat)
 from math import factorial, prod
 from operator import add, or_
@@ -101,15 +101,6 @@ def format_word(word: Sequence[int], k: int) -> str:
     if k <= len(_ALPHA):
         return "".join(_ALPHA[a] for a in word)
     return ",".join(str(a) for a in word)
-
-
-def format_prefixes(word: Sequence[int], k: int) -> list[str]:
-    """format_word of each nonempty prefix, shortest first, sliced from one rendering."""
-    text = format_word(word, k)
-    if k <= len(_ALPHA):
-        return [text[:i] for i in range(1, len(word) + 1)]
-    # Letter i's digits end one short of the i-th cumulative width of digits plus a comma.
-    return [text[:end - 1] for end in accumulate(len(str(a)) + 1 for a in word)]
 
 
 def _decimal(token: str) -> int | None:

@@ -24,7 +24,7 @@ from .probe import allocation_probe, prefix_trace
 from .rowmon import is_permutation, matrix_of_word, nonzero_columns, rank
 from .suites import run_all
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -210,11 +210,14 @@ def _run_trace(config: RunConfig) -> RunResult:
     dfa = read_dfa(config.path)
     word = _word_or_shortest(config, dfa)
     trace = prefix_trace(dfa, word)
-    report = {"word": format_word(word, dfa.k), "records": trace.to_json(dfa.k)}
-    width = max(4, len(report["word"]))
-    lines = [f"{'len':>4}  {'word':<{width}}  |R|  dim"]
-    for r in report["records"]:
-        lines.append(f"{r['length']:>4}  {r['word']:<{width}}  {r['r_size']:>3}  {r['dimension']:>3}")
+    report = {"word": format_word(word, dfa.k), "records": trace.to_json()}
+    # The word is printed once and each row shows only its prefix's last letter, so the
+    # table grows linearly with the word.
+    letters = [format_word((a,), dfa.k) for a in range(dfa.k)]
+    width = max((len(letters[a]) for a in word), default=0)
+    lines = [f"word: {report['word'] or '(empty)'}", f"{'len':>4}  {'':<{width}}  |R|  dim"]
+    for a, r in zip(word, trace.records):
+        lines.append(f"{r.length:>4}  {letters[a]:<{width}}  {r.r_size:>3}  {r.dimension:>3}")
     return RunResult(0, _document(config, report), "\n".join(lines) + "\n")
 
 
@@ -232,10 +235,10 @@ def _run_probe(config: RunConfig) -> RunResult:
     ]
     if m.success:
         lines.append(f"solutions verified: yes; family rank {rep.independence_rank} of "
-                     f"{len(rep.solutions) + 1} (independent)")
+                     f"{m.prefix_count + 1} (independent)")
     bad = report["prefix_column_counterexamples"]
-    lines.append(f"prefix-column claim: {len(rep.prefix_column_verdicts) - bad} of "
-                 f"{len(rep.prefix_column_verdicts)} prefixes keep column {rep.q} nonzero"
+    prefixes = len(rep.trace.records)
+    lines.append(f"prefix-column claim: {prefixes - bad} of {prefixes} prefixes keep column {rep.q} nonzero"
                  + (f" ({bad} counterexamples)" if bad else ""))
     lines.append(f"bound: length {rep.bound.length} vs (n-1)^2 = {rep.bound.bound}: {rep.bound.status}")
     lines.extend(f"note: {note}" for note in rep.notes)

@@ -3,12 +3,15 @@
 Nothing in here presumes the procedure works: every step measures what
 actually happens and the report carries plain verdicts.  The probe takes a
 synchronizing word and walks its prefixes once: the trace, the matching and
-the prefix-column verdicts read each prefix's targets and image from that
+the prefix-column failures read each prefix's targets and image from that
 walk.  It assigns each prefix matrix a distinctive cell through an exact
-maximum bipartite matching and builds the corresponding solutions of the
-sink equation.  That they solve it and stay independent is a property of
-the construction, certified by the matching, not evidence about the paper;
-the informative verdicts are the shortfall and the prefix-column claim.
+maximum bipartite matching; each assignment names a solution of the sink
+equation, which the report writes from the assignment and builds as a
+matrix only when asked.  That the solutions solve it and stay independent
+is a property of the construction, certified by the matching, not evidence
+about the paper; the informative verdicts are the shortfall and the
+prefix-column claim.  Every report is linear in the word's length: a prefix
+is its length, never a copy of the word.
 """
 
 from __future__ import annotations
@@ -17,15 +20,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automaton import (Dfa, Word, cerny_bound, check_word, format_prefixes, format_word,
-                        shortest_reset_length, EXACT_SEARCH_LIMIT)
+from .automaton import (Dfa, Word, cerny_bound, check_word, format_word, shortest_reset_length,
+                        EXACT_SEARCH_LIMIT)
 from .errors import CapacityError, DomainError, RowsyncError
 from .exactlin import RationalBasis
 from .rowmon import RowMonomialMatrix
 
 __all__ = [
     "PrefixRecord", "PrefixTrace", "prefix_trace", "maximum_matching",
-    "MatchingReport", "PrefixColumnVerdict", "BoundVerdict", "ProbeReport",
+    "MatchingReport", "BoundVerdict", "ProbeReport",
     "allocation_probe", "bound_check",
 ]
 
@@ -46,11 +49,9 @@ class PrefixTrace:
     word: Word
     records: tuple[PrefixRecord, ...]
 
-    def to_json(self, k: int) -> list[dict]:
-        return [
-            {"length": r.length, "word": text, "r_size": r.r_size, "dimension": r.dimension}
-            for r, text in zip(self.records, format_prefixes(self.word, k))
-        ]
+    def to_json(self) -> list[dict]:
+        """One object per record; record i's prefix is word[:length], so none repeats it."""
+        return [{"length": r.length, "r_size": r.r_size, "dimension": r.dimension} for r in self.records]
 
 
 def _walk(dfa: Dfa, word: Sequence[int]) -> tuple[Word, int, list[tuple[int, ...]], list[frozenset[int]]]:
@@ -208,15 +209,6 @@ class MatchingReport:
 
 
 @dataclass(frozen=True)
-class PrefixColumnVerdict:
-    """Whether column q of one prefix matrix is nonzero.  Reported, not
-    asserted: a False entry is a counterexample to the prefix-column claim."""
-
-    length: int
-    holds: bool
-
-
-@dataclass(frozen=True)
 class BoundVerdict:
     """Shortest reset length against the (n-1)^2 bound."""
 
@@ -234,16 +226,37 @@ class BoundVerdict:
 
 @dataclass(frozen=True)
 class ProbeReport:
-    """Everything one probe run measured or certified.  See allocation_probe."""
+    """Everything one probe run measured or certified.  See allocation_probe.
+
+    prefix_column_failures holds, ascending, the prefix lengths at which
+    column q of the prefix matrix is zero: the counterexamples to the
+    prefix-column claim, reported and not asserted.
+    """
 
     dfa: Dfa
     q: int
     trace: PrefixTrace
     matching: MatchingReport
-    solutions: tuple[RowMonomialMatrix, ...]
-    prefix_column_verdicts: tuple[PrefixColumnVerdict, ...]
+    prefix_column_failures: tuple[int, ...]
     bound: BoundVerdict
     notes: tuple[str, ...]
+
+    def _solution_targets(self) -> list[list[int]]:
+        """Each solution's row targets: q in every row but the assigned row r, which goes to column c."""
+        if not self.matching.success:
+            return []
+        sink = [self.q] * self.dfa.n
+        solutions = []
+        for _, r, c in self.matching.assignments:
+            targets = sink.copy()
+            targets[r] = c
+            solutions.append(targets)
+        return solutions
+
+    @property
+    def solutions(self) -> tuple[RowMonomialMatrix, ...]:
+        """One solution matrix per matched prefix, in prefix order, built on each read."""
+        return tuple(RowMonomialMatrix(n=self.dfa.n, targets=tuple(t)) for t in self._solution_targets())
 
     @property
     def solutions_ok(self) -> bool | None:
@@ -252,8 +265,8 @@ class ProbeReport:
 
     @property
     def independence_rank(self) -> int | None:
-        """The family's rank with the sink matrix, len(solutions) + 1 by the certificate."""
-        return len(self.solutions) + 1 if self.matching.success else None
+        """The family's rank with the sink matrix, one more than the solution count by the certificate."""
+        return self.matching.prefix_count + 1 if self.matching.success else None
 
     def to_json_dict(self) -> dict:
         return {
@@ -261,15 +274,13 @@ class ProbeReport:
                           "delta": [list(row) for row in self.dfa.delta]},
             "reset_word": format_word(self.trace.word, self.dfa.k),
             "q": self.q,
-            "prefix_trace": self.trace.to_json(self.dfa.k),
+            "prefix_trace": self.trace.to_json(),
             "matching": self.matching.to_json(),
-            "solutions": [list(s.targets) for s in self.solutions],
+            "solutions": self._solution_targets(),
             "solutions_ok": self.solutions_ok,
             "independence_rank": self.independence_rank,
-            "prefix_column_verdicts": [
-                {"length": v.length, "holds": v.holds} for v in self.prefix_column_verdicts
-            ],
-            "prefix_column_counterexamples": sum(1 for v in self.prefix_column_verdicts if not v.holds),
+            "prefix_column_failures": list(self.prefix_column_failures),
+            "prefix_column_counterexamples": len(self.prefix_column_failures),
             "bound_verdict": self.bound.to_json(),
             "notes": list(self.notes),
         }
@@ -313,16 +324,19 @@ def allocation_probe(dfa: Dfa, word: Sequence[int], limit: int = EXACT_SEARCH_LI
     free in its sink equation), compute an exact maximum matching of the
     prefixes to cells (r, c) with r a free row and c a distinctive column,
     a relation that maximum_matching reads from the free rows without
-    listing it, and on full success construct one solution per prefix
-    carrying its distinctive cell.
+    listing it.  On full success, the solution of prefix i is the sink
+    matrix with its assigned row r sent to its column c instead of q; the
+    report holds only the assignments, writes each solution's targets from
+    them, and builds RowMonomialMatrix objects only when .solutions is read.
 
     The matching's certificate: the matched cells are distinct, none lies
     in column q, and each cell's row lies outside its prefix's image; a
     failure is a bug in maximum_matching and raises RowsyncError.  So each
     solution solves its prefix's sink equation, and solution i minus the
     sink matrix is the only member nonzero at cell i, so the family with
-    the sink matrix has rank len(solutions) + 1.  The report's solutions_ok
-    and independence_rank read that off the matching; they measure nothing.
+    the sink matrix has rank one more than the number of matched prefixes.
+    The report's solutions_ok and independence_rank read that off the
+    matching; they measure nothing.
 
     Prefixes with larger image sets are offered to the matching first; that
     ordering is a tie-break between maximum matchings, not a correctness
@@ -359,20 +373,15 @@ def allocation_probe(dfa: Dfa, word: Sequence[int], limit: int = EXACT_SEARCH_LI
     unmatched = tuple(records[i].length for i in collected if i not in assigned)
     matching = MatchingReport(cell_count=cell_count, cell_columns=cell_columns,
                               assignments=assignments, unmatched_prefix_lengths=unmatched)
-    solutions: tuple[RowMonomialMatrix, ...] = ()
-    if matching.success:
-        solutions = tuple(RowMonomialMatrix(n=n, targets=tuple(c if x == r else sink for x in range(n)))
-                          for _, r, c in assignments)
-    else:
+    if not matching.success:
         notes.append(f"matching shortfall: {len(unmatched)} prefixes without a distinctive cell")
 
-    verdicts = tuple(PrefixColumnVerdict(length=i, holds=sink in image)
-                     for i, image in enumerate(images, start=1))
+    failures = tuple(i for i, image in enumerate(images, start=1) if sink not in image)
     try:
         bound = bound_check(dfa, limit, shortest)
     except CapacityError:
         bound = BoundVerdict(n=n, length=None, status="skipped-capacity")
         notes.append("exact bound check skipped: state count above the exact-search limit")
 
-    return ProbeReport(dfa=dfa, q=sink, trace=trace, matching=matching, solutions=solutions,
-                       prefix_column_verdicts=verdicts, bound=bound, notes=tuple(notes))
+    return ProbeReport(dfa=dfa, q=sink, trace=trace, matching=matching,
+                       prefix_column_failures=failures, bound=bound, notes=tuple(notes))

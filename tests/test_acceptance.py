@@ -143,7 +143,7 @@ def test_criterion_probe_soundness(acceptance_log, tmp_path):
                 sound = False
             if rep.solutions_ok and rep.independence_rank != len(rep.solutions) + 1:
                 sound = False
-        if any(not v.holds for v in rep.prefix_column_verdicts):
+        if rep.prefix_column_failures:
             counterexample_automata += 1
 
     path = tmp_path / "c4.txt"

@@ -66,7 +66,7 @@ def test_check_json_document(cerny3_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert set(doc) == {"schema_version", "command", "config", "report"}
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["command"] == "check"
     assert doc["config"]["limit"] == 24
     assert not {"output", "command", "q", "filter"} & set(doc["config"])
@@ -194,12 +194,16 @@ def test_trace_defaults_to_shortest_word(cerny3_path, capsys):
 
 
 def test_trace_human_table(cerny3_path, capsys):
+    # The schema-2 table printed each whole prefix; this one is that table
+    # mapped onto the rendered word, once, and each prefix's last letter.
     code, out = run_main(["trace", cerny3_path], capsys)
     assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 5
-    assert "dim" in lines[0]
-    assert lines[-1].split()[:2] == ["4", "baab"]
+    assert out == ("word: baab\n"
+                   " len     |R|  dim\n"
+                   "   1  b    2    1\n"
+                   "   2  a    2    2\n"
+                   "   3  a    2    3\n"
+                   "   4  b    1    4\n")
 
 
 def test_trace_non_synchronizing_exits_one(tmp_path, capsys):
@@ -230,7 +234,7 @@ def test_probe_human_summary(cerny3_path, capsys):
 
 
 def test_probe_q_is_refused(cerny3_path, capsys):
-    # The sink is where the word lands; schema 2 has no option to restate it.
+    # The sink is where the word lands; no option restates it.
     with pytest.raises(SystemExit) as exc:
         main(["probe", cerny3_path, "--q", "1"])
     assert exc.value.code == 1
@@ -689,14 +693,17 @@ def test_enum_jobs_clamped_to_shards_and_cpus(capsys, monkeypatch):
 # hashes passing show that the derived fields equal the measured ones.  The
 # schema-2 probe hashes were derived from the schema-1 code's reports, with
 # independence_expected and independence_ok dropped and the corollary1_* keys
-# renamed to prefix_column_*; the check and trace hashes are unchanged.
+# renamed to prefix_column_*.  The schema-3 probe and trace hashes were derived
+# from the schema-2 code's reports, with each prefix record's word dropped and
+# prefix_column_verdicts replaced in place by prefix_column_failures, the
+# lengths whose verdict was false; the check hashes are unchanged.
 @pytest.mark.parametrize("gen,verb,sha256", [
     (["cerny", "--n", "9"], "probe",
-     "dc9439d3a47ee8709d2b98ce617e5c99f05389d0f9d7eba43af99d6be2c02492"),
+     "d289a4110d224cb8ad824b7337294c40ed6f473d6a8dd03809666b013f3e14e3"),
     (["random", "--n", "14", "--k", "2", "--seed", "0"], "probe",
-     "829ef408172ca39ef17750b34be410a0c4cb03d555845116eed1d54b62563e70"),
+     "662e795bc6564d33c63f03e4429eae14a142650fb1b140eac0fa84d8770ed4f5"),
     (["cerny", "--n", "7"], "trace",
-     "b1850dffae6015fd32c80f7aeee62aefb0ec97d9c88a52507ed40dbd6b87dda8"),
+     "6d8d6c5db50bc55b317dfbec92fe6d4f28d2c538dcb5454d222a05aac8e29f2e"),
     (["cerny", "--n", "17"], "check",
      "3d7ca2479dfb4cee52579b6db8023ef6efb712ac3a0cb75737111e41842dc8f6"),
     (["random", "--n", "24", "--k", "3", "--seed", "0"], "check",
@@ -704,15 +711,15 @@ def test_enum_jobs_clamped_to_shards_and_cpus(capsys, monkeypatch):
     (["random", "--n", "22", "--k", "2", "--seed", "0"], "check",
      "d4a6a0beff39631c7cadee91d6cf701a91fe44cc8452532a9fbd54abe2f47d3d"),
     (["random", "--n", "1", "--k", "2", "--seed", "0"], "probe",
-     "d4dad18f3482fd6a30069213952aed8af28831a1ba9be2b739302f9dc6651fd3"),
+     "8299e6185d5d6b6725a8c1ea34f7774c13ab9440ee993a4dfe84e7f1b422ee5d"),
     (["random", "--n", "1", "--k", "2", "--seed", "0"], "trace",
      "0a73963d6f0df61f98e432d81eceafaf6ec8428c1e1711f31d5628a2f0c55781"),
     (["cerny", "--n", "20"], "check",
      "533646e3c15e7d4a73dbb29a77cc8ab66dbe24393b27116495b49bbd15e43670"),
     (["cerny", "--n", "18"], "probe",
-     "9beef8f8493d8cc515a39c69f1f373f3d369507d116fc98cd930db3965175443"),
+     "4b5cd7d5a2c2497bf1ff40b935ada7260bcf1bf3bbbb2cca34c53300a2f87fd3"),
     (["cerny", "--n", "15"], "trace",
-     "6ca191da7ad8a9d61fbd6ce1df3bb2e1395d74650eb9246e7ea80259c73b85f6"),
+     "8a0295c43a8531e234c903d45a05b644a4cfa7d39f00bb48fcce55d727fa93ba"),
 ], ids=["probe-cerny9", "probe-random14", "trace-cerny7", "check-cerny17", "check-random24",
         "check-random22", "probe-random1", "trace-random1", "check-cerny20", "probe-cerny18",
         "trace-cerny15"])
@@ -731,7 +738,9 @@ def test_probe_truncation_and_shortfall_pinned(tmp_path, capsys):
     # prefix finds no distinctive cell.  Recorded before the matching read
     # the prefix images from the walk; the schema-2 hash was derived from the
     # schema-1 code's report with the two independence aliases dropped and the
-    # corollary1_* keys renamed to prefix_column_*.
+    # corollary1_* keys renamed to prefix_column_*, and the schema-3 hash from
+    # the schema-2 code's report with the prefix words dropped and the
+    # prefix-column verdicts turned into the lengths where they fail.
     path = tmp_path / "c4.txt"
     path.write_text(CERNY4_TEXT)
     code, out = run_main(["probe", str(path), "--word", "abaaabaaab", "--json"], capsys)
@@ -741,7 +750,7 @@ def test_probe_truncation_and_shortfall_pinned(tmp_path, capsys):
                                    "matching shortfall: 1 prefixes without a distinctive cell"]
     assert report["matching"]["unmatched_prefix_lengths"] == [1]
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == \
-        "f20b848749772f6978fc7ea4da04ac9736afa90b9418535c62e47d9dfce09094"
+        "2b11807a5e9300ee03da5c53c5e976f61daeb4ae857113a0b1ec35a9be08f218"
     code, out = run_main(["probe", str(path), "--word", "abaaabaaab"], capsys)
     assert code == 0
     assert out == ("reset word: abaaabaaab (length 10), sink 1\n"
@@ -755,10 +764,11 @@ def test_probe_truncation_and_shortfall_pinned(tmp_path, capsys):
 
 def test_trace_prefixes_past_26_letters(tmp_path, capsys):
     # Letters 11 and 12 act as C_3's rotation and merge; the other 25 fix
-    # every state.  With 27 letters words render as comma-separated indices,
-    # and the one-letter prefix "12" has no comma.  The JSON hash was
-    # recorded before the prefixes were sliced from one rendering of the
-    # word; the human table pads the word column to the rendered word's width.
+    # every state.  With 27 letters words render as comma-separated indices.
+    # The schema-3 JSON hash and table were derived from the schema-2 code's
+    # output: each record's prefix word dropped, and the table mapped onto the
+    # word printed once and each prefix's last letter, padded to the widest
+    # letter so that |R| and dim stay aligned.
     rows = [" ".join(map(str, range(3)))] * 27
     rows[11], rows[12] = "1 2 0", "1 1 2"
     path = tmp_path / "k27.txt"
@@ -766,20 +776,37 @@ def test_trace_prefixes_past_26_letters(tmp_path, capsys):
     code, out = run_main(["trace", str(path), "--json"], capsys)
     assert code == 0
     report = json.loads(out)["report"]
-    assert [r["word"] for r in report["records"]] == ["12", "12,11", "12,11,11", "12,11,11,12"]
+    assert report["word"] == "12,11,11,12"
+    assert [r["length"] for r in report["records"]] == [1, 2, 3, 4]
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == \
-        "2fa2dddc0fa171732fb4ffc8d9ccd874b16a698f13bc634046c517d102023429"
+        "ea13f2298ea13940016a7eb8ad11a47ee3f764e21f93cb01795b795041ee5038"
     code, out = run_main(["trace", str(path)], capsys)
     assert code == 0
-    assert out == (" len  word         |R|  dim\n"
-                   "   1  12             2    1\n"
-                   "   2  12,11          2    2\n"
-                   "   3  12,11,11       2    3\n"
-                   "   4  12,11,11,12    1    4\n")
+    assert out == ("word: 12,11,11,12\n"
+                   " len      |R|  dim\n"
+                   "   1  12    2    1\n"
+                   "   2  11    2    2\n"
+                   "   3  11    2    3\n"
+                   "   4  12    1    4\n")
     c4 = tmp_path / "c4.txt"
     c4.write_text(CERNY4_TEXT)
     for table in (out, run_main(["trace", str(c4)], capsys)[1]):
-        assert len({len(line) for line in table.splitlines()}) == 1
+        assert len({len(line) for line in table.splitlines()[1:]}) == 1
+
+
+def test_reports_linear_in_the_word(tmp_path, capsys):
+    # C_34's shortest word b(a^33 b)^32 has 1,089 letters.  A report that
+    # repeats each prefix grows as the square of the word's length, so these
+    # caps, a fixed number of bytes per prefix, fail it.  The schema-2 reports
+    # took 654 (trace --json), 1,205 (probe --json) and 1,107 (trace) bytes
+    # per prefix.
+    path = tmp_path / "c34.txt"
+    write_dfa(cerny_automaton(34), str(path))
+    word = "b" + ("a" * 33 + "b") * 32
+    for verb, flags, cap in (("trace", ["--json"], 128), ("probe", ["--json"], 640), ("trace", [], 32)):
+        code, out = run_main([verb, str(path), "--word", word, *flags], capsys)
+        assert code == 0
+        assert len(out.encode()) <= cap * len(word), (verb, flags)
 
 
 def test_render_matches_stdlib_json(tmp_path, monkeypatch):
@@ -828,19 +855,22 @@ def test_render_matches_stdlib_json(tmp_path, monkeypatch):
 # schema-1 code's documents: config.command, config.q, config.filter, enum's
 # examined and the probe's two independence aliases dropped, the corollary1_*
 # keys renamed in place to prefix_column_*, schema_version set to 2, and the
-# result rendered again with json.dumps(document, indent=2).
+# result rendered again with json.dumps(document, indent=2).  The schema-3
+# hashes were derived the same way from the schema-2 code's documents:
+# schema_version set to 3, each prefix record's word dropped, and
+# prefix_column_verdicts replaced in place by prefix_column_failures.
 @pytest.mark.parametrize("argv,sha256", [
-    (["enum", "--n", "3", "--k", "2"], "983d708e3a57c0e55932e25df02757762d9bf0bd42956cc621a4c4946d7ca8e0"),
-    (["enum", "--n", "3", "--k", "3"], "805aa9b6008c7852ec9e4e09465db90c10793d7193b828b9689a999bd88d6a79"),
+    (["enum", "--n", "3", "--k", "2"], "29f52427377e0817478d312aa54ee37b944d7c6886c19ae38cc9253fdf21e7fa"),
+    (["enum", "--n", "3", "--k", "3"], "75d63d1555d51174987a8b7d056e464c1d58ad63f14e48878a3aad36fcfc9ce2"),
     (["enum", "--n", "3", "--k", "3", "--jobs", "2"],
-     "8552e695f05d4e9b45d44500ddec64d5e5f33fb9feba522f9d3de4a7b00c592b"),
-    (["enum", "--n", "4", "--k", "2"], "44448553d7945d29e2465a5159f6e7ac36cbff938694fe9e0b967e2df2688201"),
-    (["enum", "--n", "2", "--k", "4"], "6d6b7ad6a88807ecd678be42a66b9409bd457027b95bdb98d8f683427f22fe4f"),
-    (["enum", "--n", "4", "--k", "1"], "f80ec21ac0063c8a08c75fb3930ae3306bb95cbea989a295e4aee2675167c775"),
+     "b96edfcd39ed5c0b5ecd1c22222dcefadfe8bfb311f54e69d3558a5596ab350f"),
+    (["enum", "--n", "4", "--k", "2"], "af790b35db88ed3cd0d3de72764c2e0cdded9a5628b3df5afa75a1165da3d223"),
+    (["enum", "--n", "2", "--k", "4"], "f956510b03721388a7d573268cde77dea566d3b66082252d4d0f60c22424b9dc"),
+    (["enum", "--n", "4", "--k", "1"], "89d74182e4af8eab093c2a5dc74cb34106f85453e16e5dec81825c360266b560"),
     (["enum", "--n", "4", "--k", "3", "--budget", "16777216"],
-     "e91b5b119b45b458991042472d05a1911c5936c5cdc6b2b15d83259e77b36208"),
-    (["gen", "cerny", "--n", "6"], "e4d5bb859e44f9b8f230ed6f29d820d5687489713a1474370f33051e94708406"),
-    (["probe", "c6.txt"], "d0464fef678db9ca39bc9b27686ea21e247379362d7d830dc1a6b72ef947c500"),
+     "511f3bf10887422cca3a8cd8af8fedb2a6dff753ba0735e64a87e2412f68bb3a"),
+    (["gen", "cerny", "--n", "6"], "c68794a4ff967c1008a9b2c3c4545120e99f3a8ff4bcacc88d630833559139b7"),
+    (["probe", "c6.txt"], "87ce56ca737da869191022813a395e87582496be2370f69f28d1bd2d5728311b"),
 ], ids=["enum-3-2", "enum-3-3", "enum-3-3-jobs2", "enum-4-2", "enum-2-4", "enum-4-1", "enum-4-3",
         "gen-cerny6", "probe-cerny6"])
 def test_rendered_json_bytes_pinned(tmp_path, argv, sha256):

@@ -9,7 +9,7 @@ from collections import deque
 import pytest
 
 import rowsync.probe
-from rowsync.automaton import (Dfa, cerny_automaton, format_word, greedy_reset_word, random_dfa,
+from rowsync.automaton import (Dfa, cerny_automaton, greedy_reset_word, random_dfa,
                                shortest_reset_word, write_dfa)
 from rowsync.cli import RunConfig, main, run
 from rowsync.equation import is_solution, sink_matrix
@@ -28,8 +28,8 @@ def test_prefix_trace_cerny3_frozen():
     assert tuple(r.r_size for r in trace.records) == (2, 2, 2, 1)
     assert tuple(r.dimension for r in trace.records) == (1, 2, 3, 4)
     assert trace.word == word
-    rows = trace.to_json(c3.k)
-    assert rows[0] == {"length": 1, "word": "b", "r_size": 2, "dimension": 1}
+    rows = trace.to_json()
+    assert rows[0] == {"length": 1, "r_size": 2, "dimension": 1}
 
 
 def test_prefix_trace_rejects_non_reset_word():
@@ -213,8 +213,7 @@ def test_allocation_probe_cerny3_frozen():
     assert [s.targets for s in rep.solutions] == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
     assert rep.solutions_ok
     assert rep.independence_rank == 4 == len(rep.solutions) + 1
-    assert [(v.length, v.holds) for v in rep.prefix_column_verdicts] == [
-        (1, True), (2, False), (3, True), (4, True)]
+    assert rep.prefix_column_failures == (2,)
     assert rep.bound.status == "within-bound" and rep.bound.length == 4
 
 
@@ -236,7 +235,7 @@ def test_prefix_column_counterexample_counts():
     for n in (3, 4, 5, 6):
         dfa = cerny_automaton(n)
         rep = allocation_probe(dfa, shortest_reset_word(dfa))
-        counts.append(sum(1 for v in rep.prefix_column_verdicts if not v.holds))
+        counts.append(len(rep.prefix_column_failures))
         assert rep.matching.success and rep.solutions_ok
     assert counts == [1, 3, 6, 10]
 
@@ -393,14 +392,16 @@ def assert_prefix_facts_match_rowmon(dfa, word):
     """Rank, sink-column verdict and JSON row of every prefix, each from its own matrix."""
     trace = prefix_trace(dfa, word)
     rep = allocation_probe(dfa, word)
-    rows = trace.to_json(dfa.k)
-    assert len(trace.records) == len(rep.prefix_column_verdicts) == len(rows) == len(word)
+    rows = trace.to_json()
+    assert len(trace.records) == len(rows) == len(word)
+    failures = []
     for i in range(1, len(word) + 1):
         m = matrix_of_word(dfa, word[:i])
         assert trace.records[i - 1].r_size == rank(m)
-        assert rep.prefix_column_verdicts[i - 1].holds == (rep.q in nonzero_columns(m))
-        assert rows[i - 1]["length"] == i
-        assert rows[i - 1]["word"] == format_word(word[:i], dfa.k)
+        if rep.q not in nonzero_columns(m):
+            failures.append(i)
+        assert rows[i - 1] == {"length": i, "r_size": rank(m), "dimension": trace.records[i - 1].dimension}
+    assert rep.prefix_column_failures == tuple(failures)
 
 
 def test_prefix_facts_against_rowmon():
@@ -466,6 +467,61 @@ def test_probe_verdicts_against_elimination():
         assert fields == (True, measured)
         assert measured == len(rep.solutions) + 1
     assert full > 50 and short > 10 and truncated > 10
+
+
+def oracle_subjects():
+    """C_2..C_12 and the first 40 synchronizing seeded random automata, each
+    with its shortest word and a longer word: an extra leading letter on C_n,
+    the greedy word on the random ones."""
+    subjects = []
+    for n in range(2, 13):
+        dfa = cerny_automaton(n)
+        word = shortest_reset_word(dfa)
+        subjects += [(dfa, word), (dfa, (0,) + word)]
+    picked = seed = 0
+    while picked < 40:
+        dfa = random_dfa(3 + seed % 10, 2 + seed % 2, seed=seed)
+        seed += 1
+        word = shortest_reset_word(dfa)
+        if word is not None:
+            subjects += [(dfa, word), (dfa, greedy_reset_word(dfa))]
+            picked += 1
+    return subjects
+
+
+def walk_targets(dfa, word):
+    """Each nonempty prefix's targets, one state at a time: target[x] is where x goes."""
+    targets = list(range(dfa.n))
+    for a in word:
+        targets = [dfa.delta[a][x] for x in targets]
+        yield targets
+
+
+def test_prefix_column_failures_and_solutions_against_a_walk():
+    """The report's failure lengths and solution lists, each rebuilt here from the walk or the assignments."""
+    full = short = 0
+    for dfa, word in oracle_subjects():
+        report = allocation_probe(dfa, word).to_json_dict()
+        q = report["q"]
+        prefixes = list(walk_targets(dfa, word))
+        assert set(prefixes[-1]) == {q}
+        failures = [i for i, targets in enumerate(prefixes, start=1) if q not in targets]
+        assert report["prefix_column_failures"] == failures
+        assert report["prefix_column_counterexamples"] == len(failures)
+        matching = report["matching"]
+        if not matching["success"]:
+            short += 1
+            assert report["solutions"] == [] and report["solutions_ok"] is None
+            continue
+        full += 1
+        assignments = matching["assignments"]
+        rebuilt = [[a["column"] if x == a["row"] else q for x in range(dfa.n)] for a in assignments]
+        assert report["solutions"] == rebuilt
+        for a, solution in zip(assignments, report["solutions"]):
+            # M_u L is the sink matrix: every state reaches q through the prefix, then the solution.
+            assert {solution[t] for t in prefixes[a["prefix_length"] - 1]} == {q}
+            assert solution[a["row"]] == a["column"] != q
+    assert full > 40 and short > 5
 
 
 def test_probe_raises_on_a_broken_matching(monkeypatch, tmp_path, capsys):
@@ -537,7 +593,10 @@ def test_probe_reports_pinned():
     # The schema-2 digest was derived from the schema-1 code's reports, with
     # independence_expected and independence_ok dropped from the document and
     # the repr, and the two corollary1_* keys renamed in place to
-    # prefix_column_*; this code reproduces it.
+    # prefix_column_*.  The schema-3 digest was derived from the schema-2
+    # code's reports, with each prefix_trace record's word dropped and
+    # prefix_column_verdicts replaced in place by prefix_column_failures, the
+    # lengths whose verdict was false; this code reproduces it.
     digest = hashlib.sha256()
     short = truncated = skipped = 0
     for dfa, word in pinned_probe_subjects():
@@ -549,11 +608,12 @@ def test_probe_reports_pinned():
         truncated += any("keeping the first" in note for note in rep.notes)
         skipped += rep.bound.status == "skipped-capacity"
     assert (short, truncated, skipped) == (14, 28, 1)
-    assert digest.hexdigest() == "96afc58874223b211285fefab0e0739b2d8b6cbfdae74df6607e453852f74b2a"
+    assert digest.hexdigest() == "50911e1b5e8c52fedaab54292fcb0b5bb4f5d7bd42e2205fd87a2d699d2efeff"
 
 
-def test_probe_builds_one_matrix_per_solution_and_trace_none(monkeypatch, tmp_path):
-    # The walk keeps each prefix's targets; the solutions are the only matrices.
+def test_probe_and_trace_build_no_matrix(monkeypatch, tmp_path):
+    # The walk keeps each prefix's targets, and the report writes each
+    # solution from its assignment; only reading .solutions builds matrices.
     built = []
     validate = RowMonomialMatrix.__post_init__
 
@@ -568,8 +628,14 @@ def test_probe_builds_one_matrix_per_solution_and_trace_none(monkeypatch, tmp_pa
     for word in (None, "a" + "baaaaabaaaaabaaaaabaaaaab"):
         built.clear()
         report = run(RunConfig(command="probe", path=str(path), word=word)).document["report"]
-        assert built == report["solutions"]
-        assert len(built) == (24 if word is None else 0)
-    built.clear()
+        assert built == []
+        assert len(report["solutions"]) == (24 if word is None else 0)
     run(RunConfig(command="trace", path=str(path)))
+    run(RunConfig(command="trace", path=str(path), json_output=True))
     assert built == []
+    c6 = cerny_automaton(6)
+    rep = allocation_probe(c6, shortest_reset_word(c6))
+    assert built == []
+    solutions = rep.solutions
+    assert len(built) == len(solutions) == 24
+    assert built == [list(s.targets) for s in solutions] == rep.to_json_dict()["solutions"]

@@ -41,6 +41,12 @@ def write_inputs(directory: Path) -> list[str]:
         write_dfa(dfa, directory / name)
     # Above the exact-search limit, so probed only with its closed-form word.
     write_dfa(cerny_automaton(34), directory / "cerny34.txt")
+    # C_5 on 27 letters: letter 3 rotates, letter 26 merges, the rest fix every
+    # state.  Words render as comma-separated indices of one and two digits.
+    identity = tuple(range(5))
+    delta = [identity] * 27
+    delta[3], delta[26] = cerny_automaton(5).delta
+    write_dfa(Dfa(5, 27, tuple(delta)), directory / "cerny05_k27.txt")
     # Three letters on 23 and 24 states: the largest pair tables in the corpus.
     for n in (23, 24):
         for seed in (0, 1):
@@ -66,6 +72,8 @@ def corpus(names: list[str]) -> list[list[str]]:
             ["probe", "collapse25.txt", "--word", "a", *json_flag],
             # C_34's shortest word b(a^33 b)^32 offers 1,088 prefixes to the matching.
             ["probe", "cerny34.txt", "--word", "b" + ("a" * 33 + "b") * 32, *json_flag],
+            ["trace", "cerny34.txt", "--word", "b" + ("a" * 33 + "b") * 32, *json_flag],
+            ["trace", "cerny05_k27.txt", *json_flag],
             # The bound check's length on C_14 and C_20 comes from the backward side.
             ["probe", "cerny14.txt", "--word", "b" + ("a" * 13 + "b") * 12, *json_flag],
             ["probe", "cerny20.txt", "--word", "b" + ("a" * 19 + "b") * 18, *json_flag],
