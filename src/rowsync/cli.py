@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .automaton import (DEFAULT_ENUM_BUDGET, EXACT_SEARCH_LIMIT, Dfa, _enum_lengths, cerny_automaton,
@@ -323,9 +324,14 @@ def _encode(value, pad: str) -> str:
     """`value` exactly as json.dumps(value, indent=2) writes it, nested at `pad`.
 
     The stdlib uses its C encoder only when there is no indent; its
-    pure-Python indent path takes about twice as long as this on probe
-    reports.  Strings and ints, the bulk of every report, are dispatched on
-    their exact type, so a bool never renders as an int.  Every other leaf is
+    pure-Python indent path takes about twice as long as writing item by
+    item here.  Strings and ints, the bulk of every report, are dispatched
+    on their exact type, so a bool never renders as an int.  A list takes no
+    call per item in three shapes: all exact ints, and the two bulk shapes
+    of _bulk_items, equal-length int lists (solutions, delta) and same-key
+    int records (prefix records, a full matching's assignments).  Any other
+    list, such as a shortfall's assignments with their None entries, a list
+    of tuples or a mixed list, is written item by item.  Every other leaf is
     left to json.dumps, which writes floats as the stdlib does and raises
     TypeError on what it cannot encode.  A document that contains itself
     raises RecursionError, where the stdlib raises ValueError.
@@ -352,12 +358,51 @@ def _encode(value, pad: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if {*map(type, value)} == {int}:
-            items = map(int.__repr__, value)
+        kinds = {*map(type, value)}
+        if kinds == {int}:
+            body = (",\n" + inner).join(map(int.__repr__, value))
         else:
-            items = [_encode(item, inner) for item in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+            body = _bulk_items(value, kinds, inner)
+            if body is None:
+                body = (",\n" + inner).join([_encode(item, inner) for item in value])
+        return "[\n" + inner + body + "\n" + pad + "]"
     return json.dumps(value)
+
+
+def _bulk_items(value, kinds: set, inner: str) -> str | None:
+    """A non-empty list's items, joined at `inner` and filled into one "%d" template, or None.
+
+    The two bulk shapes: every item an exact list of exact ints, all of one
+    nonzero length; or every item an exact dict of exact-int values with the
+    same str keys in the same order.  Every item then has one layout, which
+    is repeated len(value) times and filled with all the ints at once.  The
+    shape checks are set builds over map, with no Python call per item.
+    """
+    if kinds == {list}:
+        lengths = {*map(len, value)}
+        if len(lengths) != 1:
+            return None
+        fields = ["%d"] * lengths.pop()
+        ints = tuple(chain.from_iterable(value))
+        brackets = "[]"
+    elif kinds == {dict}:
+        keys = {*map(tuple, value)}
+        if len(keys) != 1:
+            return None
+        names = keys.pop()
+        if {*map(type, names)} != {str}:
+            return None
+        fields = [encode_basestring_ascii(name).replace("%", "%%") + ": %d" for name in names]
+        ints = tuple(chain.from_iterable(map(dict.values, value)))
+        brackets = "{}"
+    else:
+        return None
+    # Empty items leave no int, so they fail this test too.
+    if {*map(type, ints)} != {int}:
+        return None
+    deeper = inner + "  "
+    layout = brackets[0] + "\n" + deeper + (",\n" + deeper).join(fields) + "\n" + inner + brackets[1]
+    return (",\n" + inner).join([layout] * len(value)) % ints
 
 
 def render(result: RunResult, config: RunConfig) -> str:

@@ -61,24 +61,24 @@ def rank_monotonicity_suite(samples: int = DEFAULT_SAMPLES, seed: int = 0) -> Su
         m_u = matrix_of_word(dfa, u)
         m_a = matrix_of_word(dfa, (a,))
         cols_u = nonzero_columns(m_u)
-        tag = f"sample {idx} (n={n}, k={k}, u={u}, a={a})"
+        found = []
         if matrix_rank(m_u) != rank(m_u):
-            result.violations.append(f"{tag}: elimination rank {matrix_rank(m_u)} != {rank(m_u)}")
+            found.append(f"elimination rank {matrix_rank(m_u)} != {rank(m_u)}")
         m_ua = multiply(m_u, m_a)
         m_au = multiply(m_a, m_u)
         if matrix_of_word(dfa, u + (a,)) != m_ua or matrix_of_word(dfa, (a,) + u) != m_au:
-            result.violations.append(f"{tag}: matrix of concatenation disagrees with product")
+            found.append("matrix of concatenation disagrees with product")
         if rank(m_ua) > rank(m_u):
-            result.violations.append(f"{tag}: appending letter raised rank")
+            found.append("appending letter raised rank")
         if not nonzero_columns(m_au) <= cols_u:
-            result.violations.append(f"{tag}: prepending letter left the old column set")
+            found.append("prepending letter left the old column set")
         if is_permutation(m_a):
             if rank(m_ua) != rank(m_u):
-                result.violations.append(f"{tag}: permutation letter changed rank on the right")
+                found.append("permutation letter changed rank on the right")
             if nonzero_columns(m_au) != cols_u:
-                result.violations.append(f"{tag}: permutation letter changed columns on the left")
+                found.append("permutation letter changed columns on the left")
             if column_unit_counts(m_au) != column_unit_counts(m_u):
-                result.violations.append(f"{tag}: permutation letter changed column unit counts")
+                found.append("permutation letter changed column unit counts")
         merged = {}
         for c in range(n):
             rows = column_rows(m_u, c)
@@ -86,8 +86,12 @@ def rank_monotonicity_suite(samples: int = DEFAULT_SAMPLES, seed: int = 0) -> Su
                 merged.setdefault(m_a.targets[c], set()).update(rows)
         for c in range(n):
             if set(column_rows(m_ua, c)) != merged.get(c, set()):
-                result.violations.append(f"{tag}: product column {c} is not the merge of source columns")
+                found.append(f"product column {c} is not the merge of source columns")
                 break
+        if found:
+            # The tag is formatted only for a sample that has a violation.
+            tag = f"sample {idx} (n={n}, k={k}, u={u}, a={a})"
+            result.violations += [f"{tag}: {message}" for message in found]
         result.checks += 1
     return result
 
@@ -113,20 +117,22 @@ def sum_conditions_suite(samples: int = DEFAULT_SAMPLES, seed: int = 1) -> Suite
             family.insert(rng.randrange(len(family) + 1), extra)
         target = RowMonomialMatrix(n=n, targets=tuple(rng.randrange(k) for _ in range(n)))
         coeffs = express(target, family)
-        tag = f"sample {idx} (n={n}, k={k}, target={target.targets})"
+        found = []
         if coeffs is None:
-            result.violations.append(f"{tag}: spanning family failed to express target")
-            result.checks += 1
-            continue
-        numerators, denominator = common_denominator(coeffs)
-        if combine(numerators, family, n) != [denominator * v for v in flatten(target)]:
-            result.violations.append(f"{tag}: expressed combination does not reproduce target")
-        if idx % 2 == 0:
-            verdict = check_sum_conditions(coeffs, family, target)
+            found.append("spanning family failed to express target")
         else:
-            verdict = check_sum_conditions(tuple(coeffs) + (Fraction(-1),), family + [target], None)
-        if not verdict.ok:
-            result.violations.append(f"{tag}: {'; '.join(verdict.violations)}")
+            numerators, denominator = common_denominator(coeffs)
+            if combine(numerators, family, n) != [denominator * v for v in flatten(target)]:
+                found.append("expressed combination does not reproduce target")
+            if idx % 2 == 0:
+                verdict = check_sum_conditions(coeffs, family, target)
+            else:
+                verdict = check_sum_conditions(tuple(coeffs) + (Fraction(-1),), family + [target], None)
+            if not verdict.ok:
+                found.append("; ".join(verdict.violations))
+        if found:
+            tag = f"sample {idx} (n={n}, k={k}, target={target.targets})"
+            result.violations += [f"{tag}: {message}" for message in found]
         result.checks += 1
     return result
 

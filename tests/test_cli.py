@@ -826,17 +826,29 @@ def test_render_matches_stdlib_json(tmp_path, monkeypatch):
         configs += [RunConfig(command="check", path=path), RunConfig(command="probe", path=path),
                     RunConfig(command="trace", path=path), RunConfig(command="matrix", path=path, word="ab"),
                     RunConfig(command="matrix", path=path, dot=True)]
+    # The probe of test_probe_truncation_and_shortfall_pinned: its assignments
+    # hold a None, and its solutions are [].
+    shortfall = tmp_path / "c4.txt"
+    shortfall.write_text(CERNY4_TEXT)
+    configs.append(RunConfig(command="probe", path=str(shortfall), word="abaaabaaab"))
     for config in configs:
         config = replace(config, json_output=True)
         result = run(config)
         assert render(result, config) == json.dumps(result.document, indent=2) + "\n"
         assert render(result, replace(config, json_output=False)) == result.human
 
-    edge = {"empty": [[], {}, [[]], [{}]], "deep": [[[[{"a": [[{"b": {}}]]}]]]],
+    edge = {"empty": [[], {}, [[]], [{}], [[], []], [{}, {}]], "deep": [[[[{"a": [[{"b": {}}]]}]]]],
             "na\u00efve \"q\" \\": ["caf\u00e9 \U0001f600", "tab\tnew\nline", "\"\\", ""],
             "scalars": [1, True, 0, None, -3, 2 ** 70], "bools": [True, False], "ints": [7, -1, 2 ** 70],
             "float": 0.1, "floats": [1e300, -0.0, 2.5], "tuple": (1, ("x", 2)), "nested": {"k": {"l": None}},
-            "keys": {3: "int", 2.5: "float", False: "bool", None: "null"}}
+            "keys": {3: "int", 2.5: "float", False: "bool", None: "null"},
+            # The bulk shapes, written from one format string, and their near misses.
+            "rows": [[0, 1, 2], [2, 2, 0]], "rows_bool": [[0, 1], [True, 0]],
+            "rows_big": [[2 ** 70, -3], [-(2 ** 70), 0]], "rows_ragged": [[1, 2], [3]],
+            "rows_tuples": [(1, 2), (3, 4)], "records": [{"a": 1, "b": -2}, {"a": 3, "b": 2 ** 70}],
+            "records_reordered": [{"a": 1, "b": 2}, {"b": 3, "a": 4}],
+            "records_extra_key": [{"a": 1}, {"a": 2, "b": 3}], "records_none": [{"a": 1}, None],
+            "records_odd_keys": [{"100%d %s": 1, "caf\u00e9": 2}, {"100%d %s": 3, "caf\u00e9": 4}]}
     config = RunConfig(command="check", json_output=True)
     assert render(RunResult(0, edge, ""), config) == json.dumps(edge, indent=2) + "\n"
     for bad in ({"x": [1, {2}]}, {"x": {(1, 2): 3}}):
@@ -844,6 +856,34 @@ def test_render_matches_stdlib_json(tmp_path, monkeypatch):
             json.dumps(bad, indent=2)
         with pytest.raises(TypeError):
             render(RunResult(0, bad, ""), config)
+
+
+def test_render_calls_independent_of_word_length(tmp_path, monkeypatch):
+    # Each per-prefix list (prefix records, assignments, solutions) is written
+    # from one format string, so rendering C_34's reports for b(a^33 b)^32
+    # (1,088 prefixes) takes no more encoder calls than C_6's for its
+    # 25-letter shortest word.  Written item by item, they took 9,841 (probe)
+    # and 4,373 (trace) calls, against 264 and 117.
+    import rowsync.cli
+
+    encode = rowsync.cli._encode
+    calls = Counter()
+
+    def counted(value, pad):
+        calls[label] += 1
+        return encode(value, pad)
+
+    monkeypatch.setattr(rowsync.cli, "_encode", counted)
+    for n, word in ((6, None), (34, "b" + ("a" * 33 + "b") * 32)):
+        path = tmp_path / f"c{n}.txt"
+        path.write_text(write_dfa_text(cerny_automaton(n)))
+        for verb in ("probe", "trace"):
+            label = (verb, n)
+            config = RunConfig(command=verb, path=str(path), word=word, json_output=True)
+            result = run(config)
+            assert render(result, config) == json.dumps(result.document, indent=2) + "\n"
+    for verb in ("probe", "trace"):
+        assert calls[verb, 34] <= calls[verb, 6] + 4, calls
 
 
 # sha256 of the rendered --json text, so the layout is pinned and not only the
