@@ -1,20 +1,25 @@
 """Exact rational linear algebra over flattened matrices.
 
 A matrix enters the basis as its n unit positions, {i*n + t: 1} from
-units(); flatten() gives the dense row-major n*n vector that express and
-decompose_vij read, and combine adds up cells from the matrices' targets.
-One echelon basis, RationalBasis, answers every rank, membership and
-coefficient question with one fraction-free elimination step on sparse
-integer rows, {position: nonzero value}: cross-multiply to clear a pivot
-entry.  A step scales the residue, and then divides out its gcd, only when
-the stored row's leading entry is not 1; a kept row is divided by its gcd,
-with its leading entry made positive, once, when it is stored, and not at
-all when that entry is 1.  The basis keeps its rows keyed by pivot, and a
-row monomial matrix has only n units among its n*n slots, so a step costs
-the nonzeros of two rows rather than their width.  express_vectors tags
-each vector with a unit of its own, so the target's residue carries its
-coefficients; rationals appear only when it reads them off.  No floating
-point anywhere, so ranks, span membership and coefficients are exact.
+units(); flatten() gives the dense row-major n*n vector, and combine adds
+up cells from the matrices' targets.  One echelon basis, RationalBasis,
+answers every rank, membership and coefficient question with one
+fraction-free elimination step on sparse integer rows, {position: nonzero
+value}: cross-multiply to clear a pivot entry.  A step scales the residue,
+and then divides out its gcd, only when the stored row's leading entry is
+not 1; a kept row is divided by its gcd, with its leading entry made
+positive, once, when it is stored, and not at all when that entry is 1.
+The basis keeps its rows keyed by pivot, and a row monomial matrix has only
+n units among its n*n slots, so a step costs the nonzeros of two rows
+rather than their width.  insert checks and copies the caller's row; the
+functions here that build their rows from validated matrices hand them to
+the basis as they are.  _express_rows tags each row with a unit of its own,
+so the target's residue carries its coefficients; rationals appear only
+when it reads them off.  express hands it the matrices' units and
+express_vectors the nonzeros of dense vectors.  The v_ij family of each
+(n, k) is built once and kept, at most 32 families at a time; vij_basis
+gives every call a new list of the kept matrices.  No floating point
+anywhere, so ranks, span membership and coefficients are exact.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress, product
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -71,13 +77,13 @@ class RationalBasis:
     def dimension(self) -> int:
         return len(self._pivots)
 
-    def _residue(self, row: Row) -> Row:
-        """A copy of row without its zeros, reduced; row is left as it was."""
+    def _copy(self, row: Row) -> Row:
+        """A copy of row without its zeros, its positions checked; row is left as it was."""
         if row:
             low, high = min(row), max(row)
             if low < 0 or high >= self.ambient:
                 raise DomainError(f"position {low if low < 0 else high} outside [0, {self.ambient})")
-        return self._reduce({p: x for p, x in row.items() if x} if 0 in row.values() else dict(row))
+        return {p: x for p, x in row.items() if x} if 0 in row.values() else dict(row)
 
     def _reduce(self, v: Row) -> Row:
         """Sparse v, consumed, less its components along the stored rows.
@@ -122,39 +128,49 @@ class RationalBasis:
         insort(self._pivots, pivot)
         self._rows[pivot] = residue
 
-    def insert(self, row: Row) -> bool:
-        """Add a sparse row, {position: value}; True iff it was independent of the span."""
-        residue = self._residue(row)
+    def _add(self, row: Row) -> bool:
+        """insert for a row built in range with no zero value; the row is consumed."""
+        residue = self._reduce(row)
         if not residue:
             return False
         self._store(residue)
         return True
 
+    def insert(self, row: Row) -> bool:
+        """Add a sparse row, {position: value}; True iff it was independent of the span."""
+        return self._add(self._copy(row))
+
     def contains(self, row: Row) -> bool:
         """Whether the sparse row, {position: value}, lies in the span."""
-        return not self._residue(row)
+        return not self._reduce(self._copy(row))
 
 
 def matrix_rank(m: RowMonomialMatrix) -> int:
     """Exact rank of the n x n grid, by elimination over its rows."""
     basis = RationalBasis(m.n)
     for t in m.targets:
-        basis.insert({t: 1})
+        basis._add({t: 1})
     return basis.dimension
 
 
 def span_dimension(matrices: Iterable[RowMonomialMatrix]) -> int:
-    """Dimension of the span of the matrices' unit positions; 0 for an empty family."""
+    """Dimension of the span of the matrices' unit positions; 0 for an empty family.
+
+    Every matrix must have the size of the first.
+    """
     basis: RationalBasis | None = None
     for m in matrices:
         if basis is None:
-            basis = RationalBasis(m.n * m.n)
-        basis.insert(units(m))
+            n = m.n
+            basis = RationalBasis(n * n)
+        elif m.n != n:
+            raise DomainError(f"size mismatch: {m.n} vs {n}")
+        basis._add(units(m))
     return 0 if basis is None else basis.dimension
 
 
-def express_vectors(target: Sequence[int], columns: Sequence[Sequence[int]]) -> RationalCoefficients | None:
-    """Solve sum_i x_i * columns[i] = target exactly over the rationals.
+def _express_rows(target_row: Row, column_rows: Sequence[Row], height: int) -> RationalCoefficients | None:
+    """express_vectors on sparse rows with positions below height and no zero value.
 
     One RationalBasis over height + m + 1 positions.  Column i enters with a
     unit tag at position height + i and is kept only if its residue still
@@ -166,15 +182,13 @@ def express_vectors(target: Sequence[int], columns: Sequence[Sequence[int]]) -> 
     t * target + sum_i c_i * columns[i] = 0, with t at height + m and c_i at
     height + i, so x_i = -c_i / t, unique over the kept columns.  Any other
     residue means the target is outside the span, and None is returned.
+    The rows are consumed.
     """
-    m = len(columns)
-    height = len(target)
-    for col in columns:
-        if len(col) != height:
-            raise DomainError(f"column length {len(col)} does not match target length {height}")
+    m = len(column_rows)
     basis = RationalBasis(height + m + 1)
-    for tag, vec in enumerate((*columns, target), start=height):
-        residue = basis._reduce({**{r: vec[r] for r in compress(range(height), vec)}, tag: 1})
+    for tag, row in enumerate((*column_rows, target_row), start=height):
+        row[tag] = 1
+        residue = basis._reduce(row)
         if min(residue) < height and tag < height + m:
             basis._store(residue)
     if min(residue) < height:
@@ -183,16 +197,33 @@ def express_vectors(target: Sequence[int], columns: Sequence[Sequence[int]]) -> 
     return tuple(Fraction(-residue.get(height + i, 0), t) for i in range(m))
 
 
+def express_vectors(target: Sequence[int], columns: Sequence[Sequence[int]]) -> RationalCoefficients | None:
+    """Solve sum_i x_i * columns[i] = target exactly over the rationals.
+
+    None when the target is outside the columns' span; free variables are
+    zero, so the answer is deterministic even when the columns are
+    dependent.  The vectors' nonzeros go to _express_rows.
+    """
+    height = len(target)
+    for col in columns:
+        if len(col) != height:
+            raise DomainError(f"column length {len(col)} does not match target length {height}")
+    positions = range(height)
+    return _express_rows({r: target[r] for r in compress(positions, target)},
+                         [{r: col[r] for r in compress(positions, col)} for col in columns], height)
+
+
 def express(target: RowMonomialMatrix, matrices: Sequence[RowMonomialMatrix]) -> RationalCoefficients | None:
     """Exact coefficients writing target as a combination of the given matrices.
 
     None when no exact combination exists.  Free variables are zero, so the
-    answer is deterministic even when the family is dependent.
+    answer is deterministic even when the family is dependent.  The
+    matrices' units go to _express_rows; no matrix is flattened.
     """
     for m in matrices:
         if m.n != target.n:
             raise DomainError(f"size mismatch: {m.n} vs {target.n}")
-    return express_vectors(flatten(target), [flatten(m) for m in matrices])
+    return _express_rows(units(target), [units(m) for m in matrices], target.n * target.n)
 
 
 def common_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -270,12 +301,20 @@ def vij_basis(n: int, k: int) -> list[RowMonomialMatrix]:
     For each row i and column j < k-1 one matrix with a unit at (i, j) and
     units at (m, k-1) for every other row m, then one matrix with all units
     in column k-1.  That is n*(k-1) + 1 matrices; their span contains every
-    row monomial matrix whose targets stay below k.
+    row monomial matrix whose targets stay below k.  The family of each
+    (n, k) is built once and kept, at most 32 families at a time; every call
+    returns a new list of the kept matrices, which the caller may change.
     """
     _require_int("size", n)
     _require_int("column count", k)
     if not 2 <= k <= n:
         raise DomainError(f"need 2 <= k <= n, got k = {k}, n = {n}")
+    return list(_vij_family(n, k))
+
+
+@lru_cache(maxsize=32)
+def _vij_family(n: int, k: int) -> tuple[RowMonomialMatrix, ...]:
+    """vij_basis(n, k) as a tuple, built once per checked (n, k)."""
     out = []
     for i in range(n):
         for j in range(k - 1):
@@ -283,7 +322,7 @@ def vij_basis(n: int, k: int) -> list[RowMonomialMatrix]:
             targets[i] = j
             out.append(RowMonomialMatrix(n=n, targets=tuple(targets)))
     out.append(RowMonomialMatrix(n=n, targets=tuple([k - 1] * n)))
-    return out
+    return tuple(out)
 
 
 def decompose_vij(t: RowMonomialMatrix, k: int) -> RationalCoefficients:
@@ -307,7 +346,7 @@ def decompose_vij(t: RowMonomialMatrix, k: int) -> RationalCoefficients:
             coeffs[i * (k - 1) + tgt] = 1
             m_count += 1
     coeffs[-1] = -(m_count - 1)
-    if tuple(combine(coeffs, vij_basis(n, k), n)) != flatten(t):
+    if tuple(combine(coeffs, _vij_family(n, k), n)) != flatten(t):
         raise DomainError("decomposition failed re-evaluation; input was not row monomial within k columns")
     return tuple(Fraction(c) for c in coeffs)
 

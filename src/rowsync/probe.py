@@ -83,7 +83,7 @@ def _trace(n: int, w: Word, prefixes: Sequence[tuple[int, ...]],
     basis = RationalBasis(n * n)
     records = []
     for i, (targets, image) in enumerate(zip(prefixes, images), start=1):
-        basis.insert({r * n + t: 1 for r, t in enumerate(targets)})
+        basis._add({r * n + t: 1 for r, t in enumerate(targets)})
         records.append(PrefixRecord(length=i, r_size=len(image), dimension=basis.dimension))
     return PrefixTrace(word=w, records=tuple(records))
 

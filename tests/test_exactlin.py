@@ -259,14 +259,26 @@ def test_units_dimensions_against_dense_oracle(n):
     for _ in range(12):
         family = row_monomial_family(rng, n)
         basis = RationalBasis(n * n)
-        dims = []
+        dims, grew = [], 0
         for m in family:
-            basis.insert(units(m))
+            grew += basis.insert(units(m))
             dims.append(basis.dimension)
         assert dims == oracle_dimensions([flatten(m) for m in family])
-        assert dims[-1] == span_dimension(family)
+        # span_dimension hands its rows to the basis unchecked; a basis that
+        # checks and copies every row must grow on as many members.
+        assert dims[-1] == grew == span_dimension(family)
         assert_rows_normalized(basis)
         assert all(basis.contains(units(m)) for m in family)
+
+
+def test_span_dimension_refuses_mixed_sizes():
+    # Worded as express words it: the member's size, then the first's.
+    with pytest.raises(DomainError, match="^size mismatch: 2 vs 3$"):
+        span_dimension([identity(3), identity(2)])
+    with pytest.raises(DomainError, match="^size mismatch: 3 vs 2$"):
+        span_dimension([identity(2), identity(3)])
+    with pytest.raises(DomainError, match="^size mismatch: 2 vs 3$"):
+        span_dimension(iter([identity(3), identity(3), identity(2)]))
 
 
 def test_rank_against_oracle_on_random_integer_matrices():
@@ -287,6 +299,9 @@ def test_matrix_rank_equals_column_count():
         n = rng.randint(1, 6)
         m = RowMonomialMatrix(n, tuple(rng.randrange(n) for _ in range(n)))
         assert matrix_rank(m) == rank(m) == oracle_rank(dense_rows(m))
+    for n in range(1, 5):
+        for m in all_row_monomial(n):
+            assert matrix_rank(m) == rank(m)
 
 
 def dense_rows(m):
@@ -316,6 +331,27 @@ def test_express_out_of_span():
 def test_express_sets_free_variables_to_zero():
     m = RowMonomialMatrix(2, (0, 1))
     assert express(m, [m, m]) == (Fraction(1), Fraction(0))
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_express_agrees_with_express_vectors(n):
+    # express reads the matrices' units, express_vectors their flattened
+    # vectors; both go through one core and must give the same answer on
+    # dependent families, on targets outside the span and on no family.
+    rng = random.Random(f"express-agree-{n}")
+    outcomes = set()
+    for _ in range(15):
+        family = row_monomial_family(rng, n)[:rng.randint(0, n * n)]
+        targets = [RowMonomialMatrix(n, tuple(rng.randrange(n) for _ in range(n))) for _ in range(3)]
+        if family:
+            targets.append(rng.choice(family))
+        for target in targets:
+            coeffs = express(target, family)
+            assert coeffs == express_vectors(flatten(target), [flatten(m) for m in family])
+            outcomes.add(coeffs is None)
+    assert express(identity(n), []) is None
+    assert express_vectors(flatten(identity(n)), []) is None
+    assert outcomes == {False, True}
 
 
 def test_express_size_mismatch(monkeypatch):
@@ -396,6 +432,17 @@ def test_vij_basis_shapes_frozen():
         vij_basis(3, 1)
     with pytest.raises(DomainError):
         vij_basis(3, 4)
+
+
+def test_vij_basis_gives_every_call_its_own_list():
+    fam = vij_basis(3, 2)
+    first = list(fam)
+    fam.insert(1, identity(3))
+    fam.append(identity(3))
+    del fam[0]
+    again = vij_basis(3, 2)
+    assert again == first and again is not fam
+    assert decompose_vij(RowMonomialMatrix(3, (0, 0, 0)), 2) == (1, 1, 1, -2)
 
 
 @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (5, 4), (6, 6)])
@@ -558,7 +605,7 @@ def assert_same_echelon(rows, ambient):
     stored rows in RationalBasis as in CallBasis."""
     basis, oracle = RationalBasis(ambient), CallBasis(ambient)
     for row in rows:
-        assert basis._residue(row) == call_reduce(oracle, {p: x for p, x in row.items() if x}), row
+        assert basis._reduce(basis._copy(row)) == call_reduce(oracle, {p: x for p, x in row.items() if x}), row
         assert basis.insert(row) == oracle.insert(row), row
         assert basis._pivots == oracle._pivots
     assert basis._rows == oracle._rows

@@ -8,6 +8,8 @@ import pytest
 
 import rowsync.suites
 from rowsync.equation import sink_matrix
+from rowsync.exactlin import _vij_family
+from rowsync.rowmon import RowMonomialMatrix
 from rowsync.suites import (basis_dimension_suite, rank_monotonicity_suite, run_all,
                             sink_equation_suite, sum_conditions_suite)
 
@@ -58,6 +60,28 @@ def test_exact_suite_documents_pinned():
     # Recorded before the sink equation's solution builder was merged.
     assert _digest(sink_equation_suite(random_samples=200, seed=3)) == (
         "0fcce01382d4e8f1c072499bd2820fc41d2ed3a1e8a0aab2451648c26ce4aa53")
+    # Recorded before matrix_rank handed its rows to the basis unchecked.
+    assert _digest(rank_monotonicity_suite(samples=500, seed=0)) == (
+        "742d50135cdc8be246100c94ae636d2d73a98d32b869794e683e024f9b547ed8")
+
+
+def test_sum_conditions_suite_builds_each_family_once(monkeypatch):
+    # Each sample builds its target and at most three extras; the spanning
+    # families of its (n, k) are built once and shared across samples.
+    built = []
+    post_init = RowMonomialMatrix.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(RowMonomialMatrix, "__post_init__", counting)
+    _vij_family.cache_clear()
+    sum_conditions_suite(samples=100, seed=0)
+    at_100 = len(built)
+    _vij_family.cache_clear()
+    sum_conditions_suite(samples=200, seed=0)
+    assert len(built) - 2 * at_100 <= 4 * 100
 
 
 def test_sink_equation_suite_checks_every_q(monkeypatch):

@@ -82,6 +82,7 @@ def corpus(names: list[str]) -> list[list[str]]:
             ["matrix", "cerny04.txt", "--word", "baaab", *json_flag],
             ["matrix", "random07.txt", "--word", "1,0,1", *json_flag],
             ["lemmas", *json_flag],
+            ["lemmas", "--seed", "1", *json_flag],
         ]
         runs += [[verb, f"pairs{n}_{seed}.txt", *json_flag]
                  for verb in ("check", "probe") for n in (23, 24) for seed in (0, 1)]
