@@ -3,16 +3,17 @@
 States are 0..n-1, letters are 0..k-1, and a word is any sequence of letter
 indices; the empty word acts as the identity.  The exact shortest-word
 search is one kernel on bitset-encoded state subsets, whose images come
-from three chunk tables of width ceil(n/3).  It runs a forward BFS
-over the images of the full set and, once a forward level holds more than
-16 n subsets, races it against a backward BFS over the preimages of the
-singletons, favouring the forward side 16 to 1: on typical random automata
-the backward side alone visits about 1.4 times the sets, but on the Cerny
-automata it reaches the full set after about n^2 sets where the forward side
-visits nearly all 2^n.  The search answers the shortest reset length by
-counting levels; only a caller that asks for the word has the
-lexicographically least shortest reset word rebuilt, the same from either
-side, so the enum walker reads lengths alone.  The polynomial
+from three chunk tables of width ceil(n/3).  It runs a forward BFS over the
+images of the full set and, once a forward level holds more than 8 n
+subsets, a backward BFS over the preimages of the singletons.  Before each
+step the side whose next level costs less grows, and the search stops where
+the two meet, a forward set inside a backward one, found by three lookups in
+chunk tables over the other side's newest level.  On the Cerny automata the
+backward levels hold one set each and meet the forward side after about n^2
+sets, where the forward side alone visits nearly all 2^n.  The search
+answers the shortest reset length by counting levels; only a caller that
+asks for the word has the lexicographically least shortest reset word
+rebuilt, so the enum walker reads lengths alone.  The polynomial
 synchronization test and the greedy heuristic work on the pair automaton
 instead, so they stay usable where the exact search does not.
 The enum walker lists the tables up to state relabelling and letter
@@ -48,11 +49,12 @@ _UNREACHED = 0xFFFF
 
 _ALPHA = "abcdefghijklmnopqrstuvwxyz"
 
-# The backward search starts once a forward level holds more than _RACE * n
-# subsets, and it grows only while the forward level is more than _RACE times
-# its newest level.  Backward alone visits about 1.4 times the sets forward
-# does on typical random automata, so the race favours the forward side.
-_RACE = 16
+# The meeting of the two sides starts once a forward level holds more than
+# _SWITCH * n subsets; below that the forward side runs alone.
+_SWITCH = 8
+
+# _BIT_DIGITS[i] spells bit i of each byte as the digit b"0" or b"1".
+_BIT_DIGITS = [bytes(48 + (v >> i & 1) for v in range(256)) for i in range(8)]
 
 
 def _require_int(name: str, size) -> None:
@@ -175,6 +177,39 @@ def _check_search_limit(n: int, limit: int) -> None:
                             "raise the limit or fall back to greedy_reset_word")
 
 
+def _meet_tables(sets: Sequence[int], n: int, w: int):
+    """(t0, t1, t2, every): chunk tables over a family of subsets of n states.
+
+    Entry y of chunk c's table has bit t set iff sets[t] meets y's states,
+    so x is disjoint from some set of the family iff
+    t0[x & m] | t1[x >> w & m] | t2[x >> 2w] != every, the family's full
+    mask.  State q's mask over the family, bit t iff q is in sets[t], is
+    read in C: byte q // 8 of each set's little-endian bytes, taken in
+    reverse so that sets[0] ends last, its bit q % 8 spelled as a binary
+    digit.
+    """
+    size = (n + 7) // 8
+    raw = b"".join([x.to_bytes(size, "little") for x in reversed(sets)])
+    columns = [raw[i::size] for i in range(size)]
+    masks = [int(columns[q >> 3].translate(_BIT_DIGITS[q & 7]), 2) for q in range(n)]
+    return (*_chunk_tables(masks, w), (1 << len(sets)) - 1)
+
+
+def _grow_forward(forward: int, backward: int, k: int, forward_tables: bool, backward_tables: bool,
+                  w: int) -> bool:
+    """Whether the forward side's next level costs no more than the backward side's.
+
+    forward and backward are the sizes of the two newest levels, and
+    forward_tables and backward_tables say whether their meeting tables are
+    built.  A side's price is its newest level's sets times the k letters,
+    plus, unless they are built, the meeting tables over the other side's
+    newest level: 3 * 2^w entries and a pass over its sets.
+    """
+    build = 3 << w
+    return (forward * k + (0 if backward_tables else build + backward)
+            <= backward * k + (0 if forward_tables else build + forward))
+
+
 def _search(n: int, k: int, tables, word: list[int] | None = None) -> int | None:
     """The shortest reset length of an n-state, k-letter automaton, read from its chunk tables alone.
 
@@ -191,29 +226,44 @@ def _search(n: int, k: int, tables, word: list[int] | None = None) -> int | None
     exactly three lookups, and tables[p // w][1 << p % w] is state p's
     successor mask.
 
-    The forward BFS runs from the full set.  Once one of its levels holds
-    more than _RACE * n subsets, a backward BFS starts from the n
-    singletons over the nonempty preimage sets, read from three more chunk
-    tables built the same way from each state's k preimage sets.  From then
-    on the side to grow is chosen before each forward level: backward levels
-    while the forward level is more than _RACE times the newest backward
-    level, else the forward level.  Whichever side finishes first answers,
-    and if either runs out of new sets the automaton is not synchronizing.
-    A singleton found while building forward level d answers d, and the
-    full set reached at backward level d answers d.
+    Forward level i holds the images of the full set under words of length
+    i that no shorter word gives; backward level j holds the nonempty sets
+    s u^-1 of states that a word u of length j sends to a state s, that no
+    shorter word gives, level 0 being the n singletons.  A forward set x
+    meets a backward set s u^-1 when x lies inside it: then x's word followed
+    by u is a reset word.  While its levels hold at most _SWITCH * n subsets
+    the forward BFS runs alone, testing each new set against backward level
+    0: a singleton found while building level d answers d.  Past that, the
+    backward BFS joins it, over preimages read from three more chunk tables
+    built the same way from each state's k preimage sets, and before each
+    step _grow_forward picks the side that grows by one level.  Each new
+    forward set is tested against the newest backward level, and each new
+    backward set against the newest forward level, by three lookups in
+    _meet_tables over that level, built once per level.  If either side runs
+    out of new sets, the automaton is not synchronizing.
 
-    A singleton found forward is read back along the parent links.  The
-    search reached each subset first from its parent under the least letter
-    that maps the parent onto it, so that letter is the one taken.  If the
-    backward side reaches the full set at level d, a forward walk rebuilds
-    the word: step t takes the least letter whose image lies inside a set of
-    backward level d-1-t.  Such a set is s u^-1 for a state s and a word u of
-    length d-1-t, so the image has a completion of exactly the remaining
-    length; conversely every such completion puts the image inside a set
-    the backward BFS reached, and no earlier than level d-1-t, or a reset
-    word shorter than d would exist.  So the walk takes the least letter
-    that still leads to a reset word of length d, at every step, and
-    writes the least shortest reset word, the one the forward side gives.
+    Testing the newest levels alone is exact.  Split a shortest reset word,
+    of length L, after i letters.  Its prefix's image x lies at forward
+    level i, or a shorter word would reach x and, with the same suffix u,
+    make a shorter reset word; x lies inside s u^-1, which lies at backward
+    level L - i for the same reason.  So forward level i meets backward
+    level L - i, and no level i meets a level j with i + j < L.  Now let the
+    sides hold levels 0..I and 0..J with no meeting yet, so L > I + J.  A new
+    forward level I + 1 can meet backward level j only if I + 1 + j >= L,
+    so only level J, and it does when L = I + J + 1; a new backward level
+    J + 1 likewise meets forward level I or nothing.  So the first meeting,
+    of forward level I and backward level J, answers I + J.  And if the
+    backward side runs out at level J, a reset word would need one at level
+    L - I > J, and if the forward side runs out at level I, one at level
+    L - J > I; so neither exists.
+
+    Letters are tried in increasing index order, so within each forward
+    level the subsets are found in lexicographic order of their least words.
+    Every shortest reset word's I-letter prefix reaches a set of forward
+    level I inside a set of backward level J, so the least one's prefix is
+    the least word of the first such set in level order: the first one
+    found by a forward step, or the first one of the hits of a backward
+    step.  _spell writes that prefix and the least completion.
     """
     if n == 1:
         return 0
@@ -226,47 +276,8 @@ def _search(n: int, k: int, tables, word: list[int] | None = None) -> int | None
     parent: dict[int, int | None] = {full: None}
     level = [full]
     depth = 0
-    # The backward levels, once the race has begun; level 0 is the n singletons.
-    back: list[list[int]] = []
-    cap = _RACE * n
-    while level:
-        if len(level) > cap:
-            if not back:
-                preimages = [0] * n
-                for p in range(n):
-                    sets = tables[p // w][1 << p % w]
-                    for s in shifts:
-                        preimages[(sets >> s & full).bit_length() - 1] |= 1 << s + p
-                b0, b1, b2 = _chunk_tables(preimages, w)
-                back.append([1 << q for q in range(n)])
-                # 0, the empty preimage, is marked seen so that it is never pushed.
-                seen = {0, *back[0]}
-            while len(level) > cap:
-                frontier = []
-                push = frontier.append
-                for cur in back[-1]:
-                    sets = b0[cur & mask] | b1[cur >> w & mask] | b2[cur >> w2]
-                    for s in shifts:
-                        nxt = sets >> s & full
-                        if nxt in seen:
-                            continue
-                        if nxt == full:
-                            if word is not None:
-                                node = full
-                                for targets in reversed(back):
-                                    images = t0[node & mask] | t1[node >> w & mask] | t2[node >> w2]
-                                    for s in shifts:
-                                        node = images >> s & full
-                                        if any(node & b == node for b in targets):
-                                            break
-                                    word.append(s // n)
-                            return len(back)
-                        seen.add(nxt)
-                        push(nxt)
-                if not frontier:
-                    return None
-                back.append(frontier)
-                cap = _RACE * len(frontier)
+    switch = _SWITCH * n
+    while len(level) <= switch:
         depth += 1
         frontier = []
         push = frontier.append
@@ -279,20 +290,121 @@ def _search(n: int, k: int, tables, word: list[int] | None = None) -> int | None
                 parent[nxt] = cur
                 if nxt & (nxt - 1) == 0:
                     if word is not None:
-                        word.append(s // n)
-                        node = cur
-                        while (prev := parent[node]) is not None:
-                            images = t0[prev & mask] | t1[prev >> w & mask] | t2[prev >> w2]
-                            letter = 0
-                            while images >> letter * n & full != node:
-                                letter += 1
-                            word.append(letter)
-                            node = prev
-                        word.reverse()
+                        _spell(word, nxt, parent, (), n, tables)
                     return depth
                 push(nxt)
+        if not frontier:
+            return None
         level = frontier
-    return None
+    # preimages[q] holds state q's k preimage sets, as a successor mask does
+    # its images; the chunk tables over them are built once a backward level
+    # other than the singletons grows.
+    preimages = [0] * n
+    for p in range(n):
+        sets = tables[p // w][1 << p % w]
+        for s in shifts:
+            preimages[(sets >> s & full).bit_length() - 1] |= 1 << s + p
+    b0 = b1 = b2 = None
+    back = [[1 << q for q in range(n)]]
+    # 0, the empty preimage, is marked seen so that it is never pushed.
+    seen = {0, *back[0]}
+    # The meeting tables over the complements of back[-1] and over level.
+    back_meet = forward_meet = None
+    while True:
+        if _grow_forward(len(level), len(back[-1]), k, forward_meet is not None, back_meet is not None, w):
+            if back_meet is None:
+                back_meet = _meet_tables([full ^ b for b in back[-1]], n, w)
+            m0, m1, m2, every = back_meet
+            depth += 1
+            frontier = []
+            push = frontier.append
+            for cur in level:
+                images = t0[cur & mask] | t1[cur >> w & mask] | t2[cur >> w2]
+                for s in shifts:
+                    nxt = images >> s & full
+                    if nxt in parent:
+                        continue
+                    parent[nxt] = cur
+                    if m0[nxt & mask] | m1[nxt >> w & mask] | m2[nxt >> w2] != every:
+                        if word is not None:
+                            _spell(word, nxt, parent, back[-2::-1], n, tables)
+                        return depth + len(back) - 1
+                    push(nxt)
+            if not frontier:
+                return None
+            level = frontier
+            forward_meet = None
+        else:
+            if forward_meet is None:
+                forward_meet = _meet_tables(level, n, w)
+            m0, m1, m2, every = forward_meet
+            if len(back) == 2:
+                b0, b1, b2 = _chunk_tables(preimages, w)
+            frontier = []
+            push = frontier.append
+            # Bit t of hits: level[t] lies inside a new backward set.
+            hits = 0
+            for cur in back[-1]:
+                sets = b0[cur & mask] | b1[cur >> w & mask] | b2[cur >> w2] if b0 else preimages[cur.bit_length() - 1]
+                for s in shifts:
+                    nxt = sets >> s & full
+                    if nxt in seen:
+                        continue
+                    seen.add(nxt)
+                    out = full ^ nxt
+                    if (miss := m0[out & mask] | m1[out >> w & mask] | m2[out >> w2]) != every:
+                        if word is None:
+                            return depth + len(back)
+                        hits |= every ^ miss
+                    push(nxt)
+            if hits:
+                _spell(word, level[(hits & -hits).bit_length() - 1], parent, back[::-1], n, tables)
+                return depth + len(back)
+            if not frontier:
+                return None
+            back.append(frontier)
+            back_meet = None
+
+
+def _spell(word: list[int], node: int, parent: dict, levels, n: int, tables) -> None:
+    """Write into word the least shortest reset word whose prefix reaches node.
+
+    node is a forward set inside a set of a backward level, and levels are
+    the backward levels below that one, newest first.  The prefix is read
+    back along the parent links: the search reached each subset first from
+    its parent under the least letter that maps the parent onto it, so that
+    letter is the one taken.  Then a forward walk from node takes at step t
+    the least letter whose image lies inside a set of levels[t].  Such a set
+    is s u^-1 for a state s and a word u as long as the rest of the walk, so
+    the image has a completion of exactly the remaining length; conversely
+    every such completion puts the image inside a set the backward BFS
+    reached, and no earlier than at levels[t]'s level, or a shorter reset
+    word would exist.  So each step takes the least letter that still leads
+    to a shortest reset word.
+    """
+    w = _chunk_width(n)
+    t0, t1, t2 = tables
+    mask = (1 << w) - 1
+    full = (1 << n) - 1
+    start = node
+    while (prev := parent[node]) is not None:
+        images = t0[prev & mask] | t1[prev >> w & mask] | t2[prev >> 2 * w]
+        letter = 0
+        while images >> letter * n & full != node:
+            letter += 1
+        word.append(letter)
+        node = prev
+    word.reverse()
+    node = start
+    for targets in levels:
+        images = t0[node & mask] | t1[node >> w & mask] | t2[node >> 2 * w]
+        image = images & full
+        letter = 0
+        while not any(image & b == image for b in targets):
+            letter += 1
+            image = images >> letter * n & full
+        word.append(letter)
+        node = image
 
 
 def _dfa_search(dfa: Dfa, limit: int, word: list[int] | None = None) -> int | None:
@@ -305,12 +417,12 @@ def shortest_reset_word(dfa: Dfa, limit: int = EXACT_SEARCH_LIMIT) -> Word | Non
     """Exact shortest reset word, or None if the automaton is not synchronizing.
 
     Breadth-first search over subsets reachable from the full state set,
-    raced against a backward search over preimages of singletons (see
-    _search).  Letters are tried in increasing index order, so within each
-    length level subsets are discovered in lexicographic order of their least
-    word; the first singleton found therefore closes the lexicographically
-    least among all shortest reset words, and the backward side's word walk
-    picks that same word.
+    met in the middle by a backward search over preimages of singletons
+    once its levels grow (see _search).  Letters are tried in increasing
+    index order, so within each length level subsets are discovered in
+    lexicographic order of their least word.  The word is the least word of
+    the first meeting set in that order, followed by the least completion
+    from it: the lexicographically least among all shortest reset words.
     """
     word: list[int] = []
     return None if _dfa_search(dfa, limit, word) is None else tuple(word)

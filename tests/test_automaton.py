@@ -225,9 +225,10 @@ def test_cerny_series_shortest_words():
         assert len(word) == cerny_bound(n)
     for n in (5, 6):
         assert shortest_reset_length(cerny_automaton(n)) == cerny_bound(n)
-    # From n = 13 on the backward side answers.  A forward-only search would
-    # take about 2 s and 343 MB at n = 22, and about 1.4 GB at n = 24.
-    for n in range(2, 23):
+    # From n = 12 on the answer comes from a meeting of the two sides.  A
+    # forward-only search would take about 2 s and 343 MB at n = 22, and
+    # about 1.4 GB at n = 24.
+    for n in range(2, 25):
         assert shortest_reset_word(cerny_automaton(n)) == (1,) + ((0,) * (n - 1) + (1,)) * (n - 2)
 
 
@@ -302,9 +303,9 @@ def test_shortest_against_frozenset_bfs_at_chunk_edges(n, k):
         assert shortest_reset_length(d, limit=26) == (None if word is None else len(word)), d.delta
 
 
-# A forward level of C_n holds more than 16 n subsets from n = 13 on, so these
-# searches start the backward side, and it reaches the full set first.  A third
-# letter that repeats another makes the shortest reset words tie.
+# A forward level of C_n holds more than _SWITCH * n subsets from n = 12 on,
+# so these searches start the backward side, and it meets the forward side.
+# A third letter that repeats another makes the shortest reset words tie.
 @pytest.mark.parametrize("n", [13, 14])
 def test_backward_side_against_frozenset_bfs(n):
     a, b = cerny_automaton(n).delta
@@ -316,41 +317,108 @@ def test_backward_side_against_frozenset_bfs(n):
         assert shortest_reset_length(d) == len(word)
 
 
-def test_backward_side_runs_dry_on_non_synchronizing_automaton():
-    # C_13 beside a two-state cycle: the forward side passes 16 n subsets, and
-    # the backward side runs out of preimage sets before the forward side ends.
+def cycle_plus_letter(n):
+    """The n-cycle a, with a letter b that fixes every state but 2 -> 7 and 3 -> 4."""
+    a = tuple((q + 1) % n for q in range(n))
+    b = tuple({2: 7, 3: 4}.get(q, q) for q in range(n))
+    return Dfa(n, 2, (a, b))
+
+
+def recorded_sides(monkeypatch):
+    """Record each side choice the search makes: True grows the forward side."""
+    choices = []
+    choose = rowsync.automaton._grow_forward
+
+    def recorded(*args):
+        choices.append(choose(*args))
+        return choices[-1]
+
+    monkeypatch.setattr(rowsync.automaton, "_grow_forward", recorded)
+    return choices
+
+
+def test_meeting_against_frozenset_bfs(monkeypatch):
+    # Inputs on which the two sides meet.  The cycle-plus-letter family
+    # passes the switch from n = 11 on and grows both sides past it at 15
+    # and 16, and its words are long (57 at n = 14, 65 at 16).  Random
+    # automata meet after a backward level or a few, and C_n from n = 12 on
+    # grows the backward side alone past the switch.  The frozenset BFS needs
+    # 2^n sets on C_n, so past n = 16 the closed-form word stands in for it.
+    cases = [cycle_plus_letter(n) for n in range(8, 17)]
+    cases += [random_dfa(n, k, seed=100 * n + 10 * k + i) for n in range(13, 21) for k in (2, 3, 4)
+              for i in range(3)]
+    cases += [cerny_automaton(n) for n in range(2, 17)]
+    expected = [frozenset_bfs_shortest(d) for d in cases]
+    cases += [cerny_automaton(n) for n in range(17, 25)]
+    expected += [(1,) + ((0,) * (n - 1) + (1,)) * (n - 2) for n in range(17, 25)]
+    choices = recorded_sides(monkeypatch)
+    met = 0
+    for d, word in zip(cases, expected):
+        choices.clear()
+        assert shortest_reset_word(d) == word, d.delta
+        met += True in choices and False in choices
+        assert shortest_reset_length(d) == (None if word is None else len(word)), d.delta
+    # Both sides grew past the switch in some searches, the forward one too.
+    assert met >= 2
+
+
+def test_backward_side_runs_dry_on_non_synchronizing_automaton(monkeypatch):
+    # Each case passes the switch, and one side runs out of new sets.  C_13
+    # beside a two-state cycle: the backward side, whose levels are small,
+    # runs out of preimage sets.  A random 3-letter automaton on 16 states
+    # beside a two-state cycle: the forward side runs out of images, none of
+    # which is a singleton.  The last side grown is the one that ran out.
     a, b = cerny_automaton(13).delta
-    d = Dfa(15, 2, (a + (14, 13), b + (14, 13)))
-    assert frozenset_bfs_shortest(d) is None
-    assert shortest_reset_word(d) is None
-    assert shortest_reset_length(d) is None
-    assert greedy_reset_word(d) is None
+    cerny_cycle = Dfa(15, 2, (a + (14, 13), b + (14, 13)))
+    rows = random_dfa(16, 3, seed=3).delta
+    random_cycle = Dfa(18, 3, tuple(row + (17, 16) for row in rows))
+    choices = recorded_sides(monkeypatch)
+    automaton = rowsync.automaton
+    for d, last in ((cerny_cycle, False), (random_cycle, True)):
+        assert frozenset_bfs_shortest(d) is None
+        choices.clear()
+        assert shortest_reset_word(d) is None
+        assert choices and choices[-1] is last
+        assert shortest_reset_length(d) is None
+        word = []
+        tables = automaton._chunk_tables(automaton._successor_masks(d.delta, 0), automaton._chunk_width(d.n))
+        assert automaton._search(d.n, d.k, tables, word) is None
+        assert word == []
+        assert greedy_reset_word(d) is None
 
 
 def test_backward_side_alone_and_interleaved(monkeypatch):
-    # With _RACE = 0 the backward side starts at the first level and grows at
-    # every step, so it answers alone; 1 and 2 interleave the two sides.
+    # With _SWITCH = 0 the meeting starts at level 0.  A side choice fixed
+    # to the backward side grows it at every step, so it answers alone, by
+    # reaching the full set; fixed to the forward side, every forward set is
+    # tested against the singletons' meeting tables; seeded random choices
+    # interleave the two sides.  No choice may change an answer.
     cases = [d for n, k in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)) for d in all_tables(n, k)]
     cases += [cerny_automaton(n) for n in range(2, 9)]
     cases += [random_dfa(8, k, seed) for k in (1, 2, 3) for seed in range(20)]
     cases += [two_component_dfa(8, 2, seed) for seed in range(3)]
     expected = [frozenset_bfs_shortest(d) for d in cases]
     lengths = [None if word is None else len(word) for word in expected]
-    for race in (0, 1, 2):
-        monkeypatch.setattr(rowsync.automaton, "_RACE", race)
-        assert [shortest_reset_word(d) for d in cases] == expected, race
+    monkeypatch.setattr(rowsync.automaton, "_SWITCH", 0)
+    rng = random.Random(0)
+    for side in (False, True, None):
+        choose = (lambda *args: rng.random() < 0.5) if side is None else (lambda *args: side)
+        monkeypatch.setattr(rowsync.automaton, "_grow_forward", choose)
+        assert [shortest_reset_word(d) for d in cases] == expected, side
         # The length is counted apart from the word, on each side.
-        assert [shortest_reset_length(d) for d in cases] == lengths, race
+        assert [shortest_reset_length(d) for d in cases] == lengths, side
 
 
 def test_backward_side_on_enum_tables(monkeypatch):
     # The enum walker's chunk tables have letter 0's piece tables ORed in,
     # and the backward side reads each state's successor mask from them.
-    # With _RACE = 0 every search runs the backward side alone, so a
-    # preimage read from the wrong entry changes some histogram.
+    # With _SWITCH = 0 and the side choice fixed to the backward side, every
+    # search runs the backward side alone, so a preimage read from the wrong
+    # entry changes some histogram.
     sizes = ((3, 2), (3, 3), (4, 2), (2, 4), (3, 4))
     expected = [run(RunConfig(command="enum", n=n, k=k, json_output=True)).document for n, k in sizes]
-    monkeypatch.setattr(rowsync.automaton, "_RACE", 0)
+    monkeypatch.setattr(rowsync.automaton, "_SWITCH", 0)
+    monkeypatch.setattr(rowsync.automaton, "_grow_forward", lambda *args: False)
     for (n, k), document in zip(sizes, expected):
         assert run(RunConfig(command="enum", n=n, k=k, json_output=True)).document == document, (n, k)
 

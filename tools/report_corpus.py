@@ -47,6 +47,15 @@ def write_inputs(directory: Path) -> list[str]:
     delta = [identity] * 27
     delta[3], delta[26] = cerny_automaton(5).delta
     write_dfa(Dfa(5, 27, tuple(delta)), directory / "cerny05_k27.txt")
+    # The n-cycle a beside a letter b that fixes every state but 2 -> 7 and
+    # 3 -> 4: shortest words of length 57 and 65, from searches in which both
+    # sides grow, the forward one past the switch too at 16 states.
+    for n in (14, 16):
+        b = tuple({2: 7, 3: 4}.get(q, q) for q in range(n))
+        write_dfa(Dfa(n, 2, (cerny_automaton(n).delta[0], b)), directory / f"cycle{n}.txt")
+    # Its shortest word, of length 10, comes from forward level 6 meeting
+    # backward level 4.
+    write_dfa(random_dfa(21, 3, seed=20), directory / "random21_3.txt")
     # Three letters on 23 and 24 states: the largest pair tables in the corpus.
     for n in (23, 24):
         for seed in (0, 1):
@@ -74,7 +83,7 @@ def corpus(names: list[str]) -> list[list[str]]:
             ["probe", "cerny34.txt", "--word", "b" + ("a" * 33 + "b") * 32, *json_flag],
             ["trace", "cerny34.txt", "--word", "b" + ("a" * 33 + "b") * 32, *json_flag],
             ["trace", "cerny05_k27.txt", *json_flag],
-            # The bound check's length on C_14 and C_20 comes from the backward side.
+            # The bound check's length on C_14 and C_20 comes from a meeting of the two sides.
             ["probe", "cerny14.txt", "--word", "b" + ("a" * 13 + "b") * 12, *json_flag],
             ["probe", "cerny20.txt", "--word", "b" + ("a" * 19 + "b") * 18, *json_flag],
             ["trace", "cerny06.txt", "--word", "abaaaaabaaaaabaaaaabaaaaab", *json_flag],
@@ -86,6 +95,8 @@ def corpus(names: list[str]) -> list[list[str]]:
         ]
         runs += [[verb, f"pairs{n}_{seed}.txt", *json_flag]
                  for verb in ("check", "probe") for n in (23, 24) for seed in (0, 1)]
+    runs += [[verb, name, *flags] for name in ("cycle14.txt", "cycle16.txt", "random21_3.txt")
+             for verb, flags in (("check", []), ("check", ["--json"]), ("trace", ["--json"]))]
     runs += [["matrix", "cerny04.txt", "--dot", "--json"], ["matrix", "cerny04.txt", "--dot", "--word", "ab"]]
     for n in range(1, 4):
         for k in range(1, 4):
