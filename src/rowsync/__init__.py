@@ -12,11 +12,11 @@ from .automaton import (Dfa, Word, cerny_automaton, cerny_bound, check_word, con
                         write_dfa, write_dfa_text, EXACT_SEARCH_LIMIT, DEFAULT_ENUM_BUDGET)
 from .equation import enumerate_solutions, is_solution, leq_q, minimal_solution, sink_matrix
 from .errors import CapacityError, DomainError, InvalidWordError, ParseError, RowsyncError
-from .exactlin import (RationalBasis, SumConditionVerdict, all_row_monomial,
-                       check_sum_conditions, decompose_vij, express, express_vectors,
-                       flatten, matrix_rank, span_dimension, units, vij_basis)
-from .probe import (BoundVerdict, MatchingReport, PrefixRecord, PrefixTrace, ProbeReport,
-                    allocation_probe, bound_check, maximum_matching, prefix_trace)
+from .exactlin import (RationalBasis, all_row_monomial, check_sum_conditions, decompose_vij,
+                       express, express_vectors, flatten, matrix_rank, span_dimension, units,
+                       vij_basis)
+from .probe import (BoundVerdict, MatchingReport, PrefixTrace, ProbeReport, allocation_probe,
+                    bound_check, maximum_matching, prefix_trace)
 from .rowmon import (RowMonomialMatrix, column_rows, column_unit_counts, identity,
                      is_permutation, matrix_of_word, multiply, nonzero_columns, rank)
 

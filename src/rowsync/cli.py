@@ -217,8 +217,8 @@ def _run_trace(config: RunConfig) -> RunResult:
     letters = [format_word((a,), dfa.k) for a in range(dfa.k)]
     width = max((len(letters[a]) for a in word), default=0)
     lines = [f"word: {report['word'] or '(empty)'}", f"{'len':>4}  {'':<{width}}  |R|  dim"]
-    for a, r in zip(word, trace.records):
-        lines.append(f"{r.length:>4}  {letters[a]:<{width}}  {r.r_size:>3}  {r.dimension:>3}")
+    for length, (a, r_size, dimension) in enumerate(zip(word, trace.r_sizes, trace.dimensions), start=1):
+        lines.append(f"{length:>4}  {letters[a]:<{width}}  {r_size:>3}  {dimension:>3}")
     return RunResult(0, _document(config, report), "\n".join(lines) + "\n")
 
 
@@ -230,7 +230,7 @@ def _run_probe(config: RunConfig) -> RunResult:
     report = rep.to_json_dict()
     m = rep.matching
     lines = [
-        f"reset word: {report['reset_word']} (length {len(word)}), sink {rep.q}",
+        f"reset word: {report['reset_word'] or '(empty)'} (length {len(word)}), sink {rep.q}",
         f"prefixes offered: {m.prefix_count}, cells: {m.cell_count}, "
         f"matching: {'full' if m.success else f'short by {len(m.unmatched_prefix_lengths)}'}",
     ]
@@ -238,7 +238,7 @@ def _run_probe(config: RunConfig) -> RunResult:
         lines.append(f"solutions verified: yes; family rank {rep.independence_rank} of "
                      f"{m.prefix_count + 1} (independent)")
     bad = report["prefix_column_counterexamples"]
-    prefixes = len(rep.trace.records)
+    prefixes = len(word)
     lines.append(f"prefix-column claim: {prefixes - bad} of {prefixes} prefixes keep column {rep.q} nonzero"
                  + (f" ({bad} counterexamples)" if bad else ""))
     lines.append(f"bound: length {rep.bound.length} vs (n-1)^2 = {rep.bound.bound}: {rep.bound.status}")

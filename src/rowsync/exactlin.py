@@ -25,7 +25,6 @@ anywhere, so ranks, span membership and coefficients are exact.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, product
@@ -250,29 +249,18 @@ def combine(numerators: Sequence[int], matrices: Sequence[RowMonomialMatrix], n:
     return cells
 
 
-@dataclass(frozen=True)
-class SumConditionVerdict:
-    """Outcome of the coefficient-sum check on an exact combination.
+def check_sum_conditions(coeffs: Sequence[Fraction],
+                         matrices: Sequence[RowMonomialMatrix],
+                         target: RowMonomialMatrix | None) -> tuple[str, ...]:
+    """The sum conditions a combination breaks, empty when it keeps them; target None means zero.
 
     For a row monomial target both the coefficient sum and every row sum of
     the combination must equal 1; for the zero matrix they must all be 0.
-    """
-
-    ok: bool
-    coefficient_sum: Fraction
-    row_sums: tuple[Fraction, ...]
-    violations: tuple[str, ...]
-
-
-def check_sum_conditions(coeffs: Sequence[Fraction],
-                         matrices: Sequence[RowMonomialMatrix],
-                         target: RowMonomialMatrix | None) -> SumConditionVerdict:
-    """Check the necessary sum conditions of a combination; target None means zero.
-
     The caller asserts that coeffs expresses target over matrices; this only
     audits the sums.  Row sums are accumulated cell by cell rather than
     assumed, so a violation would actually surface; the cells hold integer
-    numerators over the coefficients' common denominator.
+    numerators over the coefficients' common denominator, and a sum becomes
+    a Fraction only to be written into a violation.
     """
     if matrices:
         n = matrices[0].n
@@ -283,16 +271,16 @@ def check_sum_conditions(coeffs: Sequence[Fraction],
     expected = 0 if target is None else 1
     numerators, denominator = common_denominator(coeffs)
     cells = combine(numerators, matrices, n)
-    coefficient_sum = Fraction(sum(numerators), denominator)
-    row_sums = tuple(Fraction(sum(cells[i * n:(i + 1) * n]), denominator) for i in range(n))
+    scaled = expected * denominator
     violations = []
-    if coefficient_sum != expected:
-        violations.append(f"coefficient sum {coefficient_sum} != {expected}")
-    for i, s in enumerate(row_sums):
-        if s != expected:
-            violations.append(f"row {i} sums to {s} != {expected}")
-    return SumConditionVerdict(ok=not violations, coefficient_sum=coefficient_sum,
-                               row_sums=row_sums, violations=tuple(violations))
+    total = sum(numerators)
+    if total != scaled:
+        violations.append(f"coefficient sum {Fraction(total, denominator)} != {expected}")
+    for i in range(n):
+        total = sum(cells[i * n:(i + 1) * n])
+        if total != scaled:
+            violations.append(f"row {i} sums to {Fraction(total, denominator)} != {expected}")
+    return tuple(violations)
 
 
 def vij_basis(n: int, k: int) -> list[RowMonomialMatrix]:

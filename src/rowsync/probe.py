@@ -4,7 +4,9 @@ Nothing in here presumes the procedure works: every step measures what
 actually happens and the report carries plain verdicts.  The probe takes a
 synchronizing word and walks its prefixes once: the trace, the matching and
 the prefix-column failures read each prefix's targets and image from that
-walk.  It assigns each prefix matrix a distinctive cell through an exact
+walk.  The trace keeps the word once and two int columns beside it, each
+prefix's rank and span dimension; prefix i + 1 is word[:i + 1].  The
+probe assigns each prefix matrix a distinctive cell through an exact
 maximum bipartite matching; each assignment names a solution of the sink
 equation, which the report writes from the assignment and builds as a
 matrix only when asked.  That the solutions solve it and stay independent
@@ -27,31 +29,28 @@ from .exactlin import RationalBasis
 from .rowmon import RowMonomialMatrix
 
 __all__ = [
-    "PrefixRecord", "PrefixTrace", "prefix_trace", "maximum_matching",
+    "PrefixTrace", "prefix_trace", "maximum_matching",
     "MatchingReport", "BoundVerdict", "ProbeReport",
     "allocation_probe", "bound_check",
 ]
 
 
 @dataclass(frozen=True)
-class PrefixRecord:
-    """One nonempty prefix: its matrix rank and the span dimension so far."""
-
-    length: int
-    r_size: int
-    dimension: int
-
-
-@dataclass(frozen=True)
 class PrefixTrace:
-    """The reset word, held once, and one record per nonempty prefix of it."""
+    """The reset word, held once, and two columns over its nonempty prefixes.
+
+    Entry i of r_sizes and dimensions belongs to prefix word[:i + 1]: its
+    matrix rank and the span dimension of the prefix matrices so far.
+    """
 
     word: Word
-    records: tuple[PrefixRecord, ...]
+    r_sizes: tuple[int, ...]
+    dimensions: tuple[int, ...]
 
     def to_json(self) -> list[dict]:
-        """One object per record; record i's prefix is word[:length], so none repeats it."""
-        return [{"length": r.length, "r_size": r.r_size, "dimension": r.dimension} for r in self.records]
+        """One object per prefix; the prefix is word[:length], so none repeats it."""
+        return [{"length": length, "r_size": r_size, "dimension": dimension}
+                for length, (r_size, dimension) in enumerate(zip(self.r_sizes, self.dimensions), start=1)]
 
 
 def _walk(dfa: Dfa, word: Sequence[int]) -> tuple[Word, int, list[tuple[int, ...]], list[frozenset[int]]]:
@@ -81,11 +80,11 @@ def _walk(dfa: Dfa, word: Sequence[int]) -> tuple[Word, int, list[tuple[int, ...
 def _trace(n: int, w: Word, prefixes: Sequence[tuple[int, ...]],
            images: Sequence[frozenset[int]]) -> PrefixTrace:
     basis = RationalBasis(n * n)
-    records = []
-    for i, (targets, image) in enumerate(zip(prefixes, images), start=1):
+    dimensions = []
+    for targets in prefixes:
         basis._add({r * n + t: 1 for r, t in enumerate(targets)})
-        records.append(PrefixRecord(length=i, r_size=len(image), dimension=basis.dimension))
-    return PrefixTrace(word=w, records=tuple(records))
+        dimensions.append(basis.dimension)
+    return PrefixTrace(word=w, r_sizes=tuple(map(len, images)), dimensions=tuple(dimensions))
 
 
 def prefix_trace(dfa: Dfa, word: Sequence[int]) -> PrefixTrace:
@@ -349,12 +348,11 @@ def allocation_probe(dfa: Dfa, word: Sequence[int], limit: int = EXACT_SEARCH_LI
     notes: list[str] = ["empty prefix excluded by convention"]
 
     trace = _trace(n, w, prefixes, images)
-    records = trace.records
 
     # Cell v is (v % n, cell_columns[v // n]): column-major, as maximum_matching numbers them.
     cell_columns = _distinctive_columns(n, sink)
     cell_count = n * len(cell_columns)
-    collected = [i for i, r in enumerate(records) if r.r_size > 1]
+    collected = [i for i, r_size in enumerate(trace.r_sizes) if r_size > 1]
     if len(collected) > cell_count:
         notes.append(f"{len(collected)} prefixes with rank above one, keeping the first {cell_count}")
         collected = collected[:cell_count]
@@ -369,8 +367,8 @@ def allocation_probe(dfa: Dfa, word: Sequence[int], limit: int = EXACT_SEARCH_LI
             or any(c == sink or r in images[i] for i, (r, c) in assigned.items())):
         raise RowsyncError("maximum_matching assigned a shared cell, a cell in column q or a row "
                            "inside a prefix's image; the matching is wrong")
-    assignments = tuple((records[i].length, *assigned[i]) if i in assigned else None for i in collected)
-    unmatched = tuple(records[i].length for i in collected if i not in assigned)
+    assignments = tuple((i + 1, *assigned[i]) if i in assigned else None for i in collected)
+    unmatched = tuple(i + 1 for i in collected if i not in assigned)
     matching = MatchingReport(cell_count=cell_count, cell_columns=cell_columns,
                               assignments=assignments, unmatched_prefix_lengths=unmatched)
     if not matching.success:

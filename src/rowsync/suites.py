@@ -125,11 +125,11 @@ def sum_conditions_suite(samples: int = DEFAULT_SAMPLES, seed: int = 1) -> Suite
             if combine(numerators, family, n) != [denominator * v for v in flatten(target)]:
                 found.append("expressed combination does not reproduce target")
             if idx % 2 == 0:
-                verdict = check_sum_conditions(coeffs, family, target)
+                broken = check_sum_conditions(coeffs, family, target)
             else:
-                verdict = check_sum_conditions(tuple(coeffs) + (Fraction(-1),), family + [target], None)
-            if not verdict.ok:
-                found.append("; ".join(verdict.violations))
+                broken = check_sum_conditions(tuple(coeffs) + (Fraction(-1),), family + [target], None)
+            if broken:
+                found.append("; ".join(broken))
         if found:
             tag = f"sample {idx} (n={n}, k={k}, target={target.targets})"
             result.violations += [f"{tag}: {message}" for message in found]
@@ -168,9 +168,9 @@ def basis_dimension_suite(max_n: int = 6, samples: int = DEFAULT_FAMILY_SAMPLES,
                                 for _ in range(max(1, samples // (n - 1))))
             for t in targets_iter:
                 coeffs = decompose_vij(t, k)
-                verdict = check_sum_conditions(coeffs, family, t)
-                if not verdict.ok:
-                    result.violations.append(f"n={n}, k={k}, t={t.targets}: {'; '.join(verdict.violations)}")
+                broken = check_sum_conditions(coeffs, family, t)
+                if broken:
+                    result.violations.append(f"n={n}, k={k}, t={t.targets}: {'; '.join(broken)}")
                 result.checks += 1
     for n in range(1, 6):
         dim = span_dimension(all_row_monomial(n))

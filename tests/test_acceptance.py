@@ -178,8 +178,7 @@ def test_criterion_prefix_trace_invariants(acceptance_log):
             continue
         found += 1
         trace = prefix_trace(dfa, word)
-        sizes = [r.r_size for r in trace.records]
-        dims = [r.dimension for r in trace.records]
+        sizes, dims = trace.r_sizes, trace.dimensions
         if any(a < b for a, b in zip(sizes, sizes[1:])):
             violations += 1
         if any(a > b for a, b in zip(dims, dims[1:])):

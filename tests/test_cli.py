@@ -206,6 +206,18 @@ def test_trace_human_table(cerny3_path, capsys):
                    "   4  b    1    4\n")
 
 
+def test_empty_reset_word_printed_as_empty(tmp_path, capsys):
+    # One state is synchronized by the empty word; every human report names it alike.
+    path = tmp_path / "one.txt"
+    path.write_text("1 1\n0\n")
+    _, out = run_main(["check", str(path)], capsys)
+    assert "shortest reset word: (empty) (length 0)\n" in out
+    _, out = run_main(["trace", str(path)], capsys)
+    assert out.startswith("word: (empty)\n")
+    _, out = run_main(["probe", str(path)], capsys)
+    assert out.startswith("reset word: (empty) (length 0), sink 0\n")
+
+
 def test_trace_non_synchronizing_exits_one(tmp_path, capsys):
     path = tmp_path / "flip.txt"
     path.write_text("2 1\n1 0\n")

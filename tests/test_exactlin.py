@@ -395,14 +395,16 @@ def test_combine_against_dense_sum():
 
 def test_sum_conditions_good_and_bad():
     m = RowMonomialMatrix(3, (1, 0, 2))
-    verdict = check_sum_conditions((Fraction(1),), [m], m)
-    assert verdict.ok and verdict.coefficient_sum == 1 and set(verdict.row_sums) == {Fraction(1)}
-    verdict = check_sum_conditions((Fraction(1), Fraction(-1)), [m, m], None)
-    assert verdict.ok and verdict.coefficient_sum == 0 and set(verdict.row_sums) == {Fraction(0)}
-    verdict = check_sum_conditions((Fraction(1, 2),), [m], m)
-    assert not verdict.ok
-    assert any("coefficient sum" in v for v in verdict.violations)
-    assert any("row" in v for v in verdict.violations)
+    assert check_sum_conditions((Fraction(1),), [m], m) == ()
+    assert check_sum_conditions((Fraction(1), Fraction(-1)), [m, m], None) == ()
+    assert check_sum_conditions((Fraction(1, 2),), [m], m) == (
+        "coefficient sum 1/2 != 1", "row 0 sums to 1/2 != 1", "row 1 sums to 1/2 != 1",
+        "row 2 sums to 1/2 != 1")
+    assert check_sum_conditions((Fraction(3),), [m], None) == (
+        "coefficient sum 3 != 0", "row 0 sums to 3 != 0", "row 1 sums to 3 != 0", "row 2 sums to 3 != 0")
+    assert check_sum_conditions((), [], RowMonomialMatrix(2, (0, 1))) == (
+        "coefficient sum 0 != 1", "row 0 sums to 0 != 1", "row 1 sums to 0 != 1")
+    assert check_sum_conditions((), [], None) == ()
     with pytest.raises(DomainError):
         check_sum_conditions((Fraction(1),), [], m)
 
@@ -410,18 +412,13 @@ def test_sum_conditions_good_and_bad():
 def test_sum_conditions_mixed_denominators():
     fam = [RowMonomialMatrix(3, (0, 1, 2)), RowMonomialMatrix(3, (2, 2, 0)),
            RowMonomialMatrix(3, (1, 0, 1))]
-    verdict = check_sum_conditions((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)), fam, fam[0])
-    assert verdict.ok and verdict.violations == ()
-    assert type(verdict.coefficient_sum) is Fraction and verdict.coefficient_sum == 1
-    assert verdict.row_sums == (Fraction(1),) * 3
-    assert all(type(s) is Fraction for s in verdict.row_sums)
-    verdict = check_sum_conditions((Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4)), fam, None)
-    assert not verdict.ok
-    assert verdict.coefficient_sum == Fraction(7, 12)
-    assert verdict.row_sums == (Fraction(7, 12),) * 3
-    assert all(type(s) is Fraction for s in verdict.row_sums)
-    assert verdict.violations[0] == "coefficient sum 7/12 != 0"
-    assert verdict.violations[1:] == tuple(f"row {i} sums to 7/12 != 0" for i in range(3))
+    assert check_sum_conditions((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)), fam, fam[0]) == ()
+    assert check_sum_conditions((Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4)), fam, None) == (
+        "coefficient sum 7/12 != 0", "row 0 sums to 7/12 != 0", "row 1 sums to 7/12 != 0",
+        "row 2 sums to 7/12 != 0")
+    assert check_sum_conditions((Fraction(-5, 4), Fraction(2, 3)), fam[:2], fam[0]) == (
+        "coefficient sum -7/12 != 1", "row 0 sums to -7/12 != 1", "row 1 sums to -7/12 != 1",
+        "row 2 sums to -7/12 != 1")
 
 
 def test_vij_basis_shapes_frozen():

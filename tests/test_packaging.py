@@ -1,6 +1,7 @@
 """The package declares `dependencies = []`, and its modules form layers; its imports must bear both out."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -52,3 +53,18 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
+
+
+def test_every_exported_name_resolves():
+    # A name left in __all__ after its definition is gone breaks `from module import *`.
+    exporters = 0
+    for path in SOURCES:
+        stem = "rowsync" if path.stem == "__init__" else f"rowsync.{path.stem}"
+        module = importlib.import_module(stem)
+        names = getattr(module, "__all__", None)
+        if names is None:
+            continue
+        exporters += 1
+        for name in names:
+            assert hasattr(module, name), f"{stem}.__all__ names {name}, which it does not define"
+    assert exporters

@@ -25,8 +25,8 @@ def test_prefix_trace_cerny3_frozen():
     word = shortest_reset_word(c3)
     assert word == (1, 0, 0, 1)
     trace = prefix_trace(c3, word)
-    assert tuple(r.r_size for r in trace.records) == (2, 2, 2, 1)
-    assert tuple(r.dimension for r in trace.records) == (1, 2, 3, 4)
+    assert trace.r_sizes == (2, 2, 2, 1)
+    assert trace.dimensions == (1, 2, 3, 4)
     assert trace.word == word
     rows = trace.to_json()
     assert rows[0] == {"length": 1, "r_size": 2, "dimension": 1}
@@ -49,8 +49,7 @@ def test_prefix_trace_monotone_on_random_automata():
             continue
         hits += 1
         trace = prefix_trace(dfa, word)
-        sizes = [r.r_size for r in trace.records]
-        dims = [r.dimension for r in trace.records]
+        sizes, dims = trace.r_sizes, trace.dimensions
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
         assert all(a <= b for a, b in zip(dims, dims[1:]))
         assert dims[-1] <= dfa.n * (dfa.n - 1) + 1
@@ -222,12 +221,12 @@ def test_allocation_probe_solutions_solve_their_prefixes():
     word = shortest_reset_word(c4)
     rep = allocation_probe(c4, word)
     assert rep.matching.success and rep.solutions_ok
-    by_length = {r.length: i for i, r in enumerate(rep.trace.records)}
+    rows = rep.trace.to_json()
     for assignment, sol in zip(rep.matching.assignments, rep.solutions):
         length = assignment[0]
         prefix = word[:length]
         assert is_solution(matrix_of_word(c4, prefix), sol, rep.q)
-        assert by_length[length] == length - 1
+        assert rows[length - 1]["length"] == length
 
 
 def test_prefix_column_counterexample_counts():
@@ -356,7 +355,7 @@ def assert_trace_matches_oracle(dfa, word):
     before it.
     """
     rows = flattened_prefixes(dfa, word)
-    dims = [r.dimension for r in prefix_trace(dfa, word).records]
+    dims = list(prefix_trace(dfa, word).dimensions)
     assert len(dims) == len(rows)
     steps = [b - a for a, b in zip([0] + dims, dims)]
     assert set(steps) <= {0, 1}
@@ -393,14 +392,14 @@ def assert_prefix_facts_match_rowmon(dfa, word):
     trace = prefix_trace(dfa, word)
     rep = allocation_probe(dfa, word)
     rows = trace.to_json()
-    assert len(trace.records) == len(rows) == len(word)
+    assert len(trace.r_sizes) == len(trace.dimensions) == len(rows) == len(word)
     failures = []
     for i in range(1, len(word) + 1):
         m = matrix_of_word(dfa, word[:i])
-        assert trace.records[i - 1].r_size == rank(m)
+        assert trace.r_sizes[i - 1] == rank(m)
         if rep.q not in nonzero_columns(m):
             failures.append(i)
-        assert rows[i - 1] == {"length": i, "r_size": rank(m), "dimension": trace.records[i - 1].dimension}
+        assert rows[i - 1] == {"length": i, "r_size": rank(m), "dimension": trace.dimensions[i - 1]}
     assert rep.prefix_column_failures == tuple(failures)
 
 
